@@ -7,6 +7,7 @@ use rtdvs_bench::microbench::bench;
 use rtdvs_core::analysis::{rm_feasible_at, static_rm_point, RmTest};
 use rtdvs_core::machine::Machine;
 use rtdvs_core::policy::LaEdf;
+use rtdvs_core::task::TaskId;
 use rtdvs_core::time::Time;
 use rtdvs_core::view::{InvState, SystemView, TaskView};
 use rtdvs_taskgen::{generate, TaskGenSpec};
@@ -40,10 +41,10 @@ fn bench_static_point_selection() {
 
 fn bench_la_edf_defer() {
     let machine = Machine::machine2();
-    for n in [5usize, 20, 80] {
+    for n in [5usize, 20, 80, 128] {
         let spec = TaskGenSpec::new(n, 0.7).expect("valid spec");
         let tasks = generate(&spec, 47).expect("generator succeeds");
-        let views: Vec<TaskView> = tasks
+        let mut views: Vec<TaskView> = tasks
             .tasks()
             .iter()
             .map(|t| TaskView {
@@ -54,14 +55,36 @@ fn bench_la_edf_defer() {
                 next_release: t.period(),
             })
             .collect();
+        let now = Time::from_ms(0.5);
         let mut policy = LaEdf::new();
         let sys = SystemView {
-            now: Time::from_ms(0.5),
+            now,
             tasks: &tasks,
             machine: &machine,
             views: &views,
         };
         bench("la_edf_defer", &n.to_string(), || {
+            policy.work_due_before_next_deadline(&sys)
+        });
+        // The release path: before each call the earliest-deadline task is
+        // re-released one period later, so the deferral re-sorts a moved
+        // task as it does at every release in a run, not only the
+        // already-sorted order of the loop above.
+        bench("la_edf_defer", &format!("{n}/release"), || {
+            if let Some((i, v)) = views
+                .iter_mut()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.deadline.total_cmp(&b.deadline))
+            {
+                v.deadline += tasks.task(TaskId(i)).period();
+                v.next_release = v.deadline;
+            }
+            let sys = SystemView {
+                now,
+                tasks: &tasks,
+                machine: &machine,
+                views: &views,
+            };
             policy.work_due_before_next_deadline(&sys)
         });
     }

@@ -29,9 +29,11 @@
 //! * `soak` — a generated [`ThroughputConfig::soak_tasks`]-task set where
 //!   the baseline pays its O(n) per event. The ≥5× floor is enforced here,
 //!   on the policies whose per-event cost is engine-dominated (plain EDF,
-//!   both statics, ccEDF). ccRM and laEDF re-run their own O(n)
-//!   schedulability math on every event — cost both engines share — so
-//!   they are measured and reported but not floored.
+//!   both statics, ccEDF). ccRM and laEDF are measured and reported but
+//!   not floored: their per-event cost is dominated by their own O(n)
+//!   policy math, and `rtdvs_sim::baseline` runs the same policy objects,
+//!   so a faster policy speeds up both engines alike and the
+//!   engine/baseline ratio cannot show it.
 //!
 //! The committed golden (`BENCH_throughput.json`, schema
 //! `rtdvs-throughput/v1`) pins the machine-independent payload: seed,

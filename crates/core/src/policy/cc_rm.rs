@@ -26,7 +26,7 @@ use crate::machine::{Machine, PointIdx};
 use crate::policy::{point_for_demand, scheduler_guarantees, DvsPolicy};
 use crate::sched::SchedulerKind;
 use crate::task::{TaskId, TaskSet};
-use crate::time::Work;
+use crate::time::{Time, Work};
 use crate::view::SystemView;
 
 /// Per-task progress bookkeeping.
@@ -52,7 +52,7 @@ pub struct CcRm {
     /// allocation/selection). In the periodic model a release always lands
     /// there; under sporadic arrivals the policy asks the engine for a
     /// review at this instant so the next window gets its allocation.
-    planned_boundary: Option<crate::time::Time>,
+    planned_boundary: Option<Time>,
 }
 
 impl CcRm {
@@ -109,9 +109,9 @@ impl CcRm {
     }
 
     /// Fig. 6 `select_frequency`: lowest point retiring `Σ d_i` by the
-    /// earliest deadline.
-    fn select(&mut self, sys: &SystemView<'_>) -> PointIdx {
-        let boundary = sys.earliest_boundary();
+    /// earliest scheduling `boundary` (`sys.earliest_boundary()`, passed in
+    /// so the release path scans the views for it only once).
+    fn select(&mut self, sys: &SystemView<'_>, boundary: Time) -> PointIdx {
         self.planned_boundary = Some(boundary);
         self.point = point_for_demand(
             sys.machine,
@@ -125,10 +125,11 @@ impl CcRm {
     /// up to the next deadline and selects the frequency — the release
     /// path and the sporadic-boundary review path share this step.
     fn reallocate(&mut self, sys: &SystemView<'_>) -> PointIdx {
-        let horizon = sys.earliest_boundary() - sys.now;
+        let boundary = sys.earliest_boundary();
+        let horizon = boundary - sys.now;
         let budget = Work::from_ms((horizon.as_ms() * self.alpha).max(0.0));
         self.allocate(budget, sys);
-        self.select(sys)
+        self.select(sys, boundary)
     }
 }
 
@@ -161,10 +162,10 @@ impl DvsPolicy for CcRm {
     fn on_completion(&mut self, task: TaskId, sys: &SystemView<'_>) -> PointIdx {
         self.sync(sys);
         self.states[task.0].d = Work::ZERO;
-        self.select(sys)
+        self.select(sys, sys.earliest_boundary())
     }
 
-    fn review_at(&self) -> Option<crate::time::Time> {
+    fn review_at(&self) -> Option<Time> {
         self.planned_boundary
     }
 
@@ -189,7 +190,6 @@ impl DvsPolicy for CcRm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Time;
     use crate::view::{InvState, TaskView};
 
     fn paper_set() -> TaskSet {

@@ -14,19 +14,23 @@
 //! the system stays at low frequency; if they do use their worst case, the
 //! reserved capacity forces a (guaranteed sufficient) high frequency later.
 
+use core::cmp::Ordering;
+
 use crate::analysis::RmTest;
 use crate::machine::{Machine, PointIdx};
 use crate::policy::{point_for_demand, scheduler_guarantees, DvsPolicy};
 use crate::sched::SchedulerKind;
 use crate::task::{TaskId, TaskSet};
-use crate::time::{Work, EPS};
-use crate::view::SystemView;
+use crate::time::{Time, Work, EPS};
+use crate::view::{InvState, SystemView};
 
 /// Look-ahead EDF.
 ///
-/// The algorithm is stateless between scheduling points — everything is
-/// recomputed from the engine's [`SystemView`] — so the struct only caches
-/// the current operating point.
+/// The plan itself is recomputed from the engine's [`SystemView`] at every
+/// scheduling point. Between points the struct keeps the current operating
+/// point, the planning boundary it promised to revisit, and the
+/// reverse-EDF task order of the last plan, which the next plan re-sorts
+/// incrementally instead of from scratch.
 #[derive(Debug, Clone, Default)]
 pub struct LaEdf {
     point: PointIdx,
@@ -35,10 +39,20 @@ pub struct LaEdf {
     /// engine must grant a review at `D1` if no scheduling point happens
     /// first (only relevant under sporadic arrivals; in the periodic model
     /// a release always lands on `D1`).
-    planned_d1: Option<crate::time::Time>,
-    /// Scratch buffer for the reverse-EDF task ordering, kept to avoid a
-    /// per-callback allocation.
+    planned_d1: Option<Time>,
+    /// Task ids in reverse EDF order as of the last plan. Only a hint for
+    /// speed: every plan re-sorts it fully against the current deadlines.
     order: Vec<TaskId>,
+}
+
+/// The reverse-EDF order: latest deadline first, ties in reverse id order,
+/// so the deferral loop visits tasks in exact reverse EDF order. Total, so
+/// the sorted order is unique.
+fn reverse_edf(sys: &SystemView<'_>, a: TaskId, b: TaskId) -> Ordering {
+    sys.view(b)
+        .deadline
+        .total_cmp(&sys.view(a).deadline)
+        .then(b.0.cmp(&a.0))
 }
 
 impl LaEdf {
@@ -55,18 +69,40 @@ impl LaEdf {
     /// callbacks.
     #[must_use]
     pub fn work_due_before_next_deadline(&mut self, sys: &SystemView<'_>) -> Work {
-        let d1 = sys.earliest_deadline();
+        self.defer(sys, sys.earliest_deadline())
+    }
 
-        // Latest deadline first; ties in reverse id order so the loop as a
-        // whole visits tasks in exact reverse EDF order.
-        self.order.clear();
-        self.order.extend(sys.iter().map(|(id, _)| id));
-        self.order.sort_by(|&a, &b| {
-            sys.view(b)
-                .deadline
-                .total_cmp(&sys.view(a).deadline)
-                .then(b.0.cmp(&a.0))
-        });
+    /// Brings `order` into reverse EDF order for the current deadlines.
+    ///
+    /// An insertion pass over the previous plan's order: between two
+    /// scheduling points a release moves one task's deadline, so the pass
+    /// costs O(n + displacement) instead of a full sort. Its result is the
+    /// fully sorted order whatever `order` held before (a different task
+    /// set of the same length included); a change of length rebuilds it.
+    fn sort_order(&mut self, sys: &SystemView<'_>) {
+        if self.order.len() != sys.views.len() {
+            self.order.clear();
+            self.order.extend(sys.iter().map(|(id, _)| id));
+        }
+        for i in 1..self.order.len() {
+            let Some((&key, sorted)) = self.order.get(..=i).and_then(<[TaskId]>::split_last) else {
+                break;
+            };
+            let slot = sorted
+                .iter()
+                .rposition(|&prev| reverse_edf(sys, prev, key).is_le())
+                .map_or(0, |p| p + 1);
+            if slot < i {
+                if let Some(run) = self.order.get_mut(slot..=i) {
+                    run.rotate_right(1);
+                }
+            }
+        }
+    }
+
+    /// The deferral loop of Fig. 8 against the planning boundary `d1`.
+    fn defer(&mut self, sys: &SystemView<'_>, d1: Time) -> Work {
+        self.sort_order(sys);
 
         // `u` starts at the total worst-case utilization; each iteration
         // swaps task i's worst-case reservation for its actual demand
@@ -74,23 +110,45 @@ impl LaEdf {
         let mut u: f64 = sys.tasks.total_utilization();
         let mut s = Work::ZERO;
         for &id in &self.order {
-            u -= sys.tasks.task(id).utilization();
+            let task = sys.tasks.task(id);
+            let view = sys.view(id);
+            u -= task.utilization();
+            // A completed task with u ≤ 1 changes nothing but `u` above:
+            // its c_left is +0, and (1 − u)·span ≥ +0, so
+            // x = max(+0 − (1 − u)·span, 0) = +0; then `u += (+0 − +0)/span`
+            // adds +0 and `s += x` (or `s += c_left` when span ≤ EPS) adds
+            // +0, and adding +0 leaves every non-zero value's bits as they
+            // are (a zero `u` may change sign, which no later use of `u`
+            // can observe; `s` starts at +0 and never turns −0). The
+            // subtraction above must stay, in order: float subtraction is
+            // not associative, so `u` has to be the same running value.
+            if view.state == InvState::Completed && u <= 1.0 {
+                continue;
+            }
             // A task that has not been released yet (possible only with
             // offsets or deferred admission, an extension over the paper's
             // synchronous model) will still need its full worst case before
             // its first deadline — plan for it conservatively.
-            let c_left = if sys.view(id).state == crate::view::InvState::Inactive {
-                sys.tasks.task(id).wcet()
+            let c_left = if view.state == InvState::Inactive {
+                task.wcet()
             } else {
-                sys.c_left(id)
+                view.c_left(task.wcet())
             };
-            let span = (sys.view(id).deadline - d1).as_ms();
+            let span = (view.deadline - d1).as_ms();
             if span > EPS {
                 // Defer what fits into [D₁, D_i] at the residual capacity
                 // (1 − u); the remainder x must run before D₁.
                 let x = (c_left - Work::from_ms((1.0 - u) * span)).clamp_non_negative();
-                u += (c_left - x).as_ms() / span;
-                s += x;
+                if x.as_ms() > 0.0 {
+                    u += (c_left - x).as_ms() / span;
+                    s += x;
+                } else {
+                    // All of c_left defers: c_left − x is c_left itself
+                    // and s += x adds zero. Dividing c_left directly keeps
+                    // the bits and takes the division off the dependency
+                    // chain through `u`, which bounds this loop's speed.
+                    u += c_left.as_ms() / span;
+                }
             } else {
                 // D_i == D₁: nothing can be deferred.
                 s += c_left;
@@ -100,8 +158,8 @@ impl LaEdf {
     }
 
     fn select(&mut self, sys: &SystemView<'_>) -> PointIdx {
-        let s = self.work_due_before_next_deadline(sys);
         let d1 = sys.earliest_deadline();
+        let s = self.defer(sys, d1);
         self.planned_d1 = Some(d1);
         self.point = point_for_demand(sys.machine, s, d1 - sys.now);
         self.point
@@ -132,7 +190,7 @@ impl DvsPolicy for LaEdf {
         self.select(sys)
     }
 
-    fn review_at(&self) -> Option<crate::time::Time> {
+    fn review_at(&self) -> Option<Time> {
         self.planned_d1
     }
 
@@ -156,8 +214,7 @@ impl DvsPolicy for LaEdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Time;
-    use crate::view::{InvState, TaskView};
+    use crate::view::TaskView;
 
     fn paper_set() -> TaskSet {
         TaskSet::from_ms_pairs(&[(8.0, 3.0), (10.0, 3.0), (14.0, 1.0)]).expect("valid task set")

@@ -188,14 +188,14 @@ impl std::error::Error for TaskError {}
 
 /// An immutable set of periodic tasks.
 ///
-/// Task identity is positional: [`TaskId`] `i` refers to the `i`-th task
-/// passed at construction. The set pre-computes the RM priority order
-/// (ascending period, ties broken by index) used by the RM scheduler and
-/// the RM schedulability tests.
+/// Task identity is positional: [`TaskId`] `i` is the `i`-th task given at
+/// construction. The set pre-computes its total utilization and the RM
+/// priority order (ascending period, ties by index) for RM scheduling and analysis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskSet {
     tasks: Vec<Task>,
     rm_order: Vec<TaskId>,
+    total_utilization: f64,
 }
 
 impl TaskSet {
@@ -209,13 +209,13 @@ impl TaskSet {
             return Err(TaskSetError::Empty);
         }
         let mut rm_order: Vec<TaskId> = (0..tasks.len()).map(TaskId).collect();
-        rm_order.sort_by(|a, b| {
-            tasks[a.0]
-                .period()
-                .total_cmp(&tasks[b.0].period())
-                .then(a.0.cmp(&b.0))
-        });
-        Ok(TaskSet { tasks, rm_order })
+        let period = |id: &TaskId| tasks[id.0].period();
+        rm_order.sort_by(|a, b| period(a).total_cmp(&period(b)).then(a.0.cmp(&b.0)));
+        Ok(TaskSet {
+            total_utilization: tasks.iter().map(Task::utilization).sum(),
+            tasks,
+            rm_order,
+        })
     }
 
     /// Convenience constructor from `(period_ms, wcet_ms)` pairs.
@@ -282,10 +282,12 @@ impl TaskSet {
         &self.rm_order
     }
 
-    /// Total worst-case utilization `Σ C_i / P_i` at maximum frequency.
+    /// Total worst-case utilization `Σ C_i / P_i` at maximum frequency,
+    /// summed left to right in id order at construction.
+    #[inline]
     #[must_use]
     pub fn total_utilization(&self) -> f64 {
-        self.tasks.iter().map(Task::utilization).sum()
+        self.total_utilization
     }
 
     /// The maximum release offset (zero for the paper's synchronous model).

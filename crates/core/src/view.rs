@@ -120,15 +120,24 @@ impl<'a> SystemView<'a> {
     /// strictly periodic model the earliest deadline *is* the earliest
     /// release, so this equals [`SystemView::earliest_deadline`] there;
     /// they diverge only under sporadic arrivals.
+    ///
+    /// Both minima come from one pass over the views; a minimum is exact,
+    /// so the result equals taking them in two separate scans.
     #[must_use]
     pub fn earliest_boundary(&self) -> Time {
-        let next_release = self
-            .views
-            .iter()
-            .map(|v| v.next_release)
-            .filter(|t| t.as_ms() > self.now.as_ms() + crate::time::EPS)
-            .reduce(Time::min);
-        let deadline_boundary = self.earliest_deadline();
+        let cutoff = self.now.as_ms() + crate::time::EPS;
+        let earliest = |acc: Option<Time>, t: Time| {
+            if t.as_ms() > cutoff {
+                Some(acc.map_or(t, |a: Time| a.min(t)))
+            } else {
+                acc
+            }
+        };
+        let (deadline, next_release) = self.views.iter().fold((None, None), |(d, r), v| {
+            (earliest(d, v.deadline), earliest(r, v.next_release))
+        });
+        // See `earliest_deadline` for the empty-horizon fallback.
+        let deadline_boundary = deadline.unwrap_or(self.now);
         match next_release {
             Some(release) => deadline_boundary.min(release),
             None => deadline_boundary,

@@ -445,6 +445,10 @@ pub struct RtKernel {
     /// no per-iteration allocation). Derived state: reconfigured by
     /// [`RtKernel::rebuild_and_reinit`], never serialized.
     pub(crate) rq: ReadyQueue,
+    /// Scratch buffer the policy's [`SystemView`] is built in, refilled at
+    /// every callback so callbacks allocate nothing. Derived state, never
+    /// serialized.
+    pub(crate) view_buf: Vec<TaskView>,
     /// Multi-tenant servers spawned on this kernel, keyed by the periodic
     /// task that drives each one. Kept here so procfs can read tenant
     /// state back and checkpoints can restore the pairing.
@@ -497,6 +501,7 @@ impl RtKernel {
             forced_transitions: 0,
             supervisor: None,
             rq: ReadyQueue::new(),
+            view_buf: Vec::new(),
             tenant_servers: Vec::new(),
             timebase: crate::timebase::TimeBase::default(),
         };
@@ -982,7 +987,8 @@ impl RtKernel {
         }
         if let Some(set) = &self.cached_set {
             self.policy.init(set, &self.machine);
-            let views = self.views();
+            let mut views = std::mem::take(&mut self.view_buf);
+            self.fill_views(&mut views);
             for i in 0..self.entries.len() {
                 if self.entries[i].state == InvState::Active {
                     let sys = SystemView {
@@ -994,39 +1000,40 @@ impl RtKernel {
                     self.policy.on_release(TaskId(i), &sys);
                 }
             }
+            self.view_buf = views;
         }
     }
 
-    fn views(&self) -> Vec<TaskView> {
-        self.entries
-            .iter()
-            .map(|e| {
-                if e.deferred {
-                    TaskView {
-                        invocation: 0,
-                        state: InvState::Inactive,
-                        executed: Work::ZERO,
-                        deadline: Time::from_ms(FAR_FUTURE_MS),
-                        next_release: Time::from_ms(FAR_FUTURE_MS),
-                    }
-                } else {
-                    TaskView {
-                        invocation: e.invocation,
-                        state: e.state,
-                        executed: e.executed,
-                        // Policies see deadlines tightened by the drift
-                        // estimate; miss detection keeps the raw one.
-                        deadline: self.clock_tightened_deadline(e.deadline),
-                        next_release: e.next_release,
-                    }
+    /// Refills `views` with the policy-facing view of every entry.
+    fn fill_views(&self, views: &mut Vec<TaskView>) {
+        views.clear();
+        views.extend(self.entries.iter().map(|e| {
+            if e.deferred {
+                TaskView {
+                    invocation: 0,
+                    state: InvState::Inactive,
+                    executed: Work::ZERO,
+                    deadline: Time::from_ms(FAR_FUTURE_MS),
+                    next_release: Time::from_ms(FAR_FUTURE_MS),
                 }
-            })
-            .collect()
+            } else {
+                TaskView {
+                    invocation: e.invocation,
+                    state: e.state,
+                    executed: e.executed,
+                    // Policies see deadlines tightened by the drift
+                    // estimate; miss detection keeps the raw one.
+                    deadline: self.clock_tightened_deadline(e.deadline),
+                    next_release: e.next_release,
+                }
+            }
+        }));
     }
 
     fn notify(&mut self, idx: usize, is_release: bool) {
         let Some(set) = &self.cached_set else { return };
-        let views = self.views();
+        let mut views = std::mem::take(&mut self.view_buf);
+        self.fill_views(&mut views);
         let sys = SystemView {
             now: self.now,
             tasks: set,
@@ -1038,6 +1045,7 @@ impl RtKernel {
         } else {
             self.policy.on_completion(TaskId(idx), &sys);
         }
+        self.view_buf = views;
     }
 
     fn remaining(&self, idx: usize) -> Work {
@@ -1688,7 +1696,8 @@ impl RtKernel {
             if let Some(review) = self.policy.review_at() {
                 if review.at_or_before(self.now) {
                     if let Some(set) = &self.cached_set {
-                        let views = self.views();
+                        let mut views = std::mem::take(&mut self.view_buf);
+                        self.fill_views(&mut views);
                         let sys = SystemView {
                             now: self.now,
                             tasks: set,
@@ -1696,6 +1705,7 @@ impl RtKernel {
                             views: &views,
                         };
                         self.policy.on_review(&sys);
+                        self.view_buf = views;
                     }
                 }
             }

@@ -1231,6 +1231,7 @@ fn restore_from_text(
         forced_transitions,
         supervisor: None,
         rq: rtdvs_core::readyq::ReadyQueue::new(),
+        view_buf: Vec::new(),
         tenant_servers: Vec::new(),
         // Observed state restores; the driver, like the regulator, is
         // live hardware the caller re-attaches.
