@@ -27,27 +27,14 @@
 //! }
 //! ```
 //!
-//! Chaos-soak artifacts (grid label `"chaos-soak"`) reuse the schema with
-//! reinterpreted axes: `u` is the injected fault rate, `energy_norm` is
-//! the chaos run's energy against the same policy's fault-free baseline
-//! (the containment overhead), `deadline_miss` counts misses the audit
-//! classifier blames on the *policy*, and `fault_miss` counts the ones it
-//! attributes to injected faults. The guaranteed-policy zero-miss check
-//! then enforces "faults never turn into policy bugs" mechanically.
-//! Mode-churn artifacts (grid label `"mode-churn"`) reinterpret the axes
-//! the same way: `u` is the churn probability, `energy_norm` is against
-//! the churn-free baseline, and `fault_miss` counts kernel-log audit
-//! findings (see `crate::modes`). Regulator-soak artifacts (grid label
-//! `"regulator-soak"`) follow suit: `u` is the regulator adversity rate,
-//! `energy_norm` is against the regulator-free baseline, `deadline_miss`
-//! carries policy-blamed misses plus non-miss audit findings, and
-//! `fault_miss` the excused misses (see `crate::regulator`). Clock-soak
-//! artifacts (grid label `"clock-soak"`) are the same shape one layer
-//! deeper still: `u` is the clock adversity rate (drift/tick-loss/
-//! coalescing/backward-jump probabilities), `energy_norm` is against the
-//! clean-clock baseline, `deadline_miss` carries policy-blamed misses
-//! plus non-miss audit findings, and `fault_miss` the clock-excused
-//! misses (see `crate::clock`).
+//! Soak artifacts (the grid labels registered in [`crate::soak::SOAKS`])
+//! reuse the schema with reinterpreted axes: `u` is the adversity rate,
+//! `energy_norm` is the stressed run's energy against the same policy's
+//! clean run at the same seeds, `deadline_miss` counts policy-blamed
+//! misses plus non-miss audit findings, and `fault_miss` counts the
+//! misses an injected adversity excuses (see `crate::soak`). The
+//! guaranteed-policy zero-miss check then enforces "adversity never
+//! turns into a policy bug" mechanically.
 //!
 //! The reader is deliberately forward-compatible: it looks fields up by
 //! name and ignores object keys it does not know, so an artifact written
@@ -85,7 +72,7 @@ pub struct BenchPoint {
     /// Total deadline misses across the point's task sets. Chaos grids
     /// count only misses classified as policy bugs here.
     pub deadline_miss: u64,
-    /// Misses attributed to injected faults. Always 0 outside chaos
+    /// Misses an injected adversity excuses. Always 0 outside soak
     /// grids; absent in pre-fault artifacts, which parse as 0.
     pub fault_miss: u64,
 }
@@ -312,19 +299,14 @@ impl BenchArtifact {
     /// policies never miss, and energies are positive. Returns one message
     /// per violation.
     ///
-    /// Chaos-soak and mode-churn grids normalize each policy against its
-    /// own fault-free (respectively churn-free) baseline, so the
-    /// EDF-normalizes-to-1 check does not apply there; the
+    /// Soak grids normalize each policy against its own clean run, so
+    /// the EDF-normalizes-to-1 check does not apply there; the
     /// guaranteed-policy check does (and, because those artifacts put
     /// only policy-blamed misses in `deadline_miss`, it enforces that no
-    /// injected fault or committed mode change was ever misclassified as
-    /// a policy bug).
+    /// injected adversity was ever misclassified as a policy bug).
     #[must_use]
     pub fn validate(&self) -> Vec<String> {
-        let chaos = matches!(
-            self.grid.label.as_str(),
-            "chaos-soak" | "mode-churn" | "regulator-soak" | "clock-soak"
-        );
+        let soak = crate::soak::is_soak_label(&self.grid.label);
         let mut problems = Vec::new();
         let expected_series = self.grid.policies.len() * self.grid.n_tasks.len();
         if self.series.len() != expected_series {
@@ -351,7 +333,7 @@ impl BenchArtifact {
                         point.energy_norm, point.u
                     ));
                 }
-                if !chaos && series.policy == "EDF" && (point.energy_norm - 1.0).abs() > 1e-9 {
+                if !soak && series.policy == "EDF" && (point.energy_norm - 1.0).abs() > 1e-9 {
                     problems.push(format!(
                         "{tag}: EDF normalization is {} at U={}, must be 1",
                         point.energy_norm, point.u
@@ -848,17 +830,24 @@ mod tests {
     }
 
     #[test]
-    fn chaos_grids_skip_the_edf_normalization_check_only() {
-        let mut art = sample();
-        art.grid.label = "chaos-soak".to_owned();
-        // Chaos normalizes per-policy, so EDF ≠ 1 is legitimate there...
-        art.series[0].points[1].energy_norm = 1.07;
-        art.series[0].points[1].fault_miss = 3;
-        assert!(art.validate().is_empty(), "{:?}", art.validate());
-        // ...but a policy-blamed miss from a guaranteed policy is still a
-        // finding.
-        art.series[1].points[0].deadline_miss = 1;
-        assert_eq!(art.validate().len(), 1);
+    fn soak_grids_skip_the_edf_normalization_check_only() {
+        for soak in &crate::soak::SOAKS {
+            let mut art = sample();
+            art.grid.label = soak.label.to_owned();
+            // Soaks normalize per policy, so EDF ≠ 1 is legitimate there...
+            art.series[0].points[1].energy_norm = 1.07;
+            art.series[0].points[1].fault_miss = 3;
+            assert!(
+                art.validate().is_empty(),
+                "{}: {:?}",
+                soak.name,
+                art.validate()
+            );
+            // ...but a policy-blamed miss from a guaranteed policy is still
+            // a finding.
+            art.series[1].points[0].deadline_miss = 1;
+            assert_eq!(art.validate().len(), 1, "{}", soak.name);
+        }
     }
 
     #[test]
@@ -893,34 +882,6 @@ mod tests {
         assert_ne!(text, art.to_json(), "replacements must have applied");
         let parsed = BenchArtifact::from_json(&text).expect("tolerant parse");
         assert_eq!(parsed, art);
-    }
-
-    #[test]
-    fn clock_soak_label_normalizes_per_policy() {
-        // The clock soak normalizes each policy against its own
-        // clean-clock baseline, so EDF ≠ 1 is legitimate there while the
-        // guaranteed-policy miss check still bites.
-        let mut art = sample();
-        art.grid.label = "clock-soak".to_owned();
-        art.series[0].points[1].energy_norm = 1.02;
-        art.series[0].points[1].fault_miss = 5;
-        assert!(art.validate().is_empty(), "{:?}", art.validate());
-        art.series[1].points[0].deadline_miss = 1;
-        assert_eq!(art.validate().len(), 1);
-    }
-
-    #[test]
-    fn regulator_soak_label_normalizes_per_policy() {
-        // The regulator soak normalizes each policy against its own
-        // regulator-free baseline, so EDF ≠ 1 is legitimate there while
-        // the guaranteed-policy miss check still bites.
-        let mut art = sample();
-        art.grid.label = "regulator-soak".to_owned();
-        art.series[0].points[1].energy_norm = 1.04;
-        art.series[0].points[1].fault_miss = 2;
-        assert!(art.validate().is_empty(), "{:?}", art.validate());
-        art.series[1].points[0].deadline_miss = 1;
-        assert_eq!(art.validate().len(), 1);
     }
 
     #[test]

@@ -3,16 +3,15 @@
 //!
 //! ```text
 //! figures [run] [--quick] [--threads N] [--seed S] [--out DIR]
-//!     Regenerate Figures 6–8, the smoke sweep, the chaos soak, and the
-//!     mode-churn soak; write BENCH_paper_figures.json, BENCH_sweep.json,
-//!     BENCH_faults.json, and BENCH_modes.json into DIR (default: the
-//!     repository root).
+//!     Regenerate Figures 6–8 and the smoke sweep; write
+//!     BENCH_paper_figures.json and BENCH_sweep.json into DIR (default:
+//!     the repository root).
 //!
 //! figures check [--tolerance FRACTION] [--golden-dir DIR] [--threads N]
 //!     Re-run the smoke grid and diff it against the committed
 //!     BENCH_sweep.json (default tolerance ±1% energy, deadline misses
 //!     must match exactly), then structurally validate the committed
-//!     BENCH_paper_figures.json and BENCH_faults.json. Exits non-zero on any divergence —
+//!     BENCH_paper_figures.json. Exits non-zero on any divergence —
 //!     this is what `xtask bench-check` and the CI bench-smoke stage run.
 //!
 //! figures bench [--threads-list 1,2,4] [--quick] [--seed S]
@@ -20,39 +19,20 @@
 //!     event throughput, and speedup vs one thread, and verify the merged
 //!     results are byte-identical across thread counts.
 //!
-//! figures chaos [--tolerance FRACTION] [--golden-dir DIR]
-//!     Re-run the chaos-soak smoke grid (fault injection across all six
-//!     policies), assert that no miss is ever blamed on a policy, diff
-//!     the result against the committed BENCH_faults.json, and validate
-//!     its structure. This is what `xtask chaos` and the CI chaos-smoke
-//!     stage run.
-//!
-//! figures modes [--tolerance FRACTION] [--golden-dir DIR]
-//!     Re-run the mode-churn smoke grid (transactional mode changes
-//!     across all six policies), assert that no commit ever costs a
-//!     deadline and that every kernel log replays clean through the
-//!     lifecycle auditor, diff the result against the committed
-//!     BENCH_modes.json, and validate its structure. This is what
-//!     `xtask modes` and the CI mode-churn stage run.
-//!
-//! figures regulator [--tolerance FRACTION] [--golden-dir DIR]
-//!     Re-run the regulator-soak smoke grid (unreliable regulator plus
-//!     brownout caps across all six policies), assert that no miss is
-//!     ever policy-blamed and that the rate-0 column normalizes to
-//!     exactly 1 (the zero-cost-ideal proof), diff the result against
-//!     the committed BENCH_regulator.json, and validate its structure.
-//!     This is what `xtask regulator` and the CI regulator-smoke stage
-//!     run.
-//!
-//! figures clock [--tolerance FRACTION] [--golden-dir DIR] [--seed S] [--write]
-//!     Re-run the clock-fault soak smoke grid (oscillator drift, lost
-//!     and coalesced ticks, bounded backward RTC jumps across all six
-//!     policies), assert that no miss is ever policy-blamed and that
-//!     the rate-0 column normalizes to exactly 1 (the inactive clock
-//!     plan is provably free), diff the result against the committed
-//!     BENCH_clock.json, and validate its structure. `--write`
-//!     regenerates the golden instead. This is what `xtask clock` and
-//!     the CI clock-smoke stage run.
+//! figures <chaos|modes|regulator|clock|soaks> [--golden-dir DIR] [--seed S] [--write]
+//!     Re-run a registered seeded soak's smoke grid (`soaks`: all of
+//!     them in turn) — chaos: simulator fault injection; modes:
+//!     transactional mode churn; regulator: unreliable regulator plus
+//!     brownout caps; clock: oscillator drift, lost and coalesced ticks,
+//!     backward RTC jumps — across all six paper policies. Assert that
+//!     nothing is ever blamed (no policy-blamed miss, no non-miss audit
+//!     finding), that the rate-0 column normalizes to exactly 1 (an
+//!     inactive adversity is provably free), and that the artifact
+//!     validates, then diff the canonical payload byte-for-byte against
+//!     the committed golden (BENCH_faults.json, BENCH_modes.json,
+//!     BENCH_regulator.json, BENCH_clock.json). `--write` regenerates
+//!     the golden instead. `figures soaks` is what `xtask soaks` and the
+//!     CI soaks stage run.
 //!
 //! figures tenants [--golden-dir DIR] [--seed S] [--write]
 //!     Re-run the multi-tenant serving soak (one tenant flooding at 10x
@@ -102,14 +82,11 @@ use rtdvs_bench::campaign::{
     campaign_smoke_config, compare_campaign, known_violating_campaign, replay_repro, run_campaign,
     shrink_plan, CampaignArtifact, ReproArtifact,
 };
-use rtdvs_bench::chaos::{chaos_smoke_config, run_chaos};
-use rtdvs_bench::clock::{clock_smoke_config, run_clock};
 use rtdvs_bench::figures::{
     paper_figures, paper_figures_artifact, smoke_sweep_artifact, PaperFigure, Scale,
 };
-use rtdvs_bench::modes::{modes_smoke_config, run_modes};
-use rtdvs_bench::regulator::{regulator_smoke_config, run_regulator};
 use rtdvs_bench::render_normalized_chart;
+use rtdvs_bench::soak::{find_soak, Soak, SOAKS};
 use rtdvs_bench::tenants::{compare_tenants, run_tenants, tenants_smoke_config, TenantsArtifact};
 use rtdvs_bench::throughput::{
     compare_throughput, floor_violations, pin_table2_traces, run_throughput,
@@ -122,10 +99,6 @@ const DEFAULT_SEED: u64 = 0x5eed;
 /// File names of the committed golden artifacts at the repository root.
 const PAPER_FIGURES_FILE: &str = "BENCH_paper_figures.json";
 const SWEEP_FILE: &str = "BENCH_sweep.json";
-const FAULTS_FILE: &str = "BENCH_faults.json";
-const MODES_FILE: &str = "BENCH_modes.json";
-const REGULATOR_FILE: &str = "BENCH_regulator.json";
-const CLOCK_FILE: &str = "BENCH_clock.json";
 const THROUGHPUT_FILE: &str = "BENCH_throughput.json";
 const TENANTS_FILE: &str = "BENCH_tenants.json";
 const CAMPAIGN_FILE: &str = "BENCH_campaign.json";
@@ -163,10 +136,11 @@ fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
-            "run" | "check" | "bench" | "chaos" | "modes" | "regulator" | "clock"
-            | "throughput" | "tenants" | "campaign" | "repro" => {
+            "run" | "check" | "bench" | "soaks" | "throughput" | "tenants" | "campaign"
+            | "repro" => {
                 args.command = a;
             }
+            soak if find_soak(soak).is_some() => args.command = a,
             "--quick" => args.quick = true,
             "--write" => args.write = true,
             "--threads" => {
@@ -211,11 +185,12 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: figures [run|check|bench|chaos|modes|regulator|clock|throughput|tenants|campaign|repro] \
-     [--quick] [--threads N] \
-     [--threads-list 1,2,4] [--seed S] [--out DIR] [--golden-dir DIR] [--tolerance FRACTION] \
-     [--write] [FILE (repro only)]"
-        .to_owned()
+    format!(
+        "usage: figures [run|check|bench|soaks|{}|throughput|tenants|campaign|repro] \
+         [--quick] [--threads N] [--threads-list 1,2,4] [--seed S] [--out DIR] \
+         [--golden-dir DIR] [--tolerance FRACTION] [--write] [FILE (repro only)]",
+        SOAKS.iter().map(|s| s.name).collect::<Vec<_>>().join("|")
+    )
 }
 
 fn parse_seed(v: &str) -> Result<u64, String> {
@@ -306,28 +281,19 @@ fn run(args: &Args) -> Result<(), String> {
 
     let smoke = smoke_sweep_artifact(args.seed, threads);
     write_artifact(&out, SWEEP_FILE, &smoke)?;
-
-    let faults = run_chaos(&chaos_smoke_config(args.seed));
-    write_artifact(&out, FAULTS_FILE, &faults)?;
-
-    let churn = run_modes(&modes_smoke_config(args.seed));
-    write_artifact(&out, MODES_FILE, &churn)?;
-
-    let hardened = run_regulator(&regulator_smoke_config(args.seed));
-    write_artifact(&out, REGULATOR_FILE, &hardened)?;
     println!(
         "total wall: {} ms across {} simulations",
-        artifact.wall_ms + smoke.wall_ms + faults.wall_ms + churn.wall_ms + hardened.wall_ms,
+        artifact.wall_ms + smoke.wall_ms,
         figures.iter().map(|f| f.run.stats.sims).sum::<u64>()
     );
     Ok(())
 }
 
-fn load_golden(dir: &Path, name: &str) -> Result<BenchArtifact, String> {
+fn load_golden(dir: &Path, name: &str, regenerate: &str) -> Result<BenchArtifact, String> {
     let path = dir.join(name);
     let text = std::fs::read_to_string(&path).map_err(|e| {
         format!(
-            "cannot read golden {}: {e} (run `figures run` to create it)",
+            "cannot read golden {}: {e} (run `{regenerate}` to create it)",
             path.display()
         )
     })?;
@@ -339,7 +305,7 @@ fn check(args: &Args) -> Result<(), String> {
     let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
 
     // 1. Fresh smoke run vs the committed golden, within tolerance.
-    let golden = load_golden(&dir, SWEEP_FILE)?;
+    let golden = load_golden(&dir, SWEEP_FILE, "figures run")?;
     let fresh = smoke_sweep_artifact(golden.seed, threads);
     let problems = compare(&golden, &fresh, args.tolerance);
     if problems.is_empty() {
@@ -363,293 +329,98 @@ fn check(args: &Args) -> Result<(), String> {
 
     // 2. Structural invariants of the committed paper-figures artifact
     //    (full regeneration is `figures run`; too slow for every push).
-    for name in [PAPER_FIGURES_FILE, FAULTS_FILE, MODES_FILE, REGULATOR_FILE] {
-        let golden = load_golden(&dir, name)?;
-        let structural = golden.validate();
-        if structural.is_empty() {
-            println!(
-                "bench-check: {} is structurally sound ({} series)",
-                name,
-                golden.series.len()
-            );
-        } else {
-            for p in &structural {
-                eprintln!("bench-check: {name}: {p}");
-            }
-            return Err(format!(
-                "{name}: {} structural problem(s)",
-                structural.len()
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn chaos(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let golden = load_golden(&dir, FAULTS_FILE)?;
-    let fresh = run_chaos(&chaos_smoke_config(golden.seed));
-
-    // 1. Containment never lets an injected fault read as a policy bug.
-    let mut fault_misses = 0u64;
-    for series in &fresh.series {
-        for p in &series.points {
-            if p.deadline_miss != 0 {
-                return Err(format!(
-                    "chaos: {} blamed for {} miss(es) at fault rate {} — \
-                     a policy-bug miss under injection is a real bug",
-                    series.policy, p.deadline_miss, p.u
-                ));
-            }
-            fault_misses += p.fault_miss;
-        }
-    }
-
-    // 2. The fresh soak reproduces the committed golden.
-    let problems = compare(&golden, &fresh, args.tolerance);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("chaos: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {FAULTS_FILE}; if the fault model intentionally \
-             changed, regenerate the goldens with `figures run` and commit them",
-            problems.len()
-        ));
-    }
-
-    // 3. Structural invariants of the artifact itself.
-    let structural = fresh.validate();
+    let golden = load_golden(&dir, PAPER_FIGURES_FILE, "figures run")?;
+    let structural = golden.validate();
     if !structural.is_empty() {
         for p in &structural {
-            eprintln!("chaos: {FAULTS_FILE}: {p}");
+            eprintln!("bench-check: {PAPER_FIGURES_FILE}: {p}");
         }
-        return Err(format!("{} structural problem(s)", structural.len()));
+        return Err(format!(
+            "{PAPER_FIGURES_FILE}: {} structural problem(s)",
+            structural.len()
+        ));
     }
-
     println!(
-        "chaos: {} policies x {} fault rates reproduce {} within ±{:.1}% \
-         ({} fault-induced misses, 0 policy bugs, {} ms)",
-        fresh.grid.policies.len(),
-        fresh.grid.utilizations.len(),
-        FAULTS_FILE,
-        100.0 * args.tolerance,
-        fault_misses,
-        fresh.wall_ms
+        "bench-check: {PAPER_FIGURES_FILE} is structurally sound ({} series)",
+        golden.series.len()
     );
     Ok(())
 }
 
-fn modes(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let golden = load_golden(&dir, MODES_FILE)?;
-    let fresh = run_modes(&modes_smoke_config(golden.seed));
-
-    // 1. No commit ever costs a deadline, and every kernel log replays
-    //    clean through the lifecycle auditor (fault_miss carries the
-    //    finding count in mode-churn grids).
-    let mut commits_energy = 0.0f64;
+/// The invariants every fresh soak grid must hold: nothing blamed
+/// anywhere (policy-blamed misses and non-miss audit findings share that
+/// column), the rate-0 column bitwise 1 (an inactive adversity draws
+/// nothing, so it must be byte-identical to none at all), and a
+/// structurally valid artifact. Returns the excused-miss total.
+fn soak_invariants(soak: &Soak, fresh: &BenchArtifact) -> Result<u64, String> {
+    let name = soak.name;
+    let mut excused = 0u64;
     for series in &fresh.series {
         for p in &series.points {
             if p.deadline_miss != 0 {
                 return Err(format!(
-                    "modes: {} missed {} deadline(s) at churn rate {} — \
-                     a miss under transactional churn is a safe-point bug",
-                    series.policy, p.deadline_miss, p.u
-                ));
-            }
-            if p.fault_miss != 0 {
-                return Err(format!(
-                    "modes: {} has {} lifecycle audit finding(s) at churn rate {}",
-                    series.policy, p.fault_miss, p.u
-                ));
-            }
-            commits_energy = commits_energy.max(p.energy_norm);
-        }
-    }
-
-    // 2. The fresh soak reproduces the committed golden.
-    let problems = compare(&golden, &fresh, args.tolerance);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("modes: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {MODES_FILE}; if the transaction machinery \
-             intentionally changed, regenerate the goldens with `figures run` and commit them",
-            problems.len()
-        ));
-    }
-
-    // 3. Structural invariants of the artifact itself.
-    let structural = fresh.validate();
-    if !structural.is_empty() {
-        for p in &structural {
-            eprintln!("modes: {MODES_FILE}: {p}");
-        }
-        return Err(format!("{} structural problem(s)", structural.len()));
-    }
-
-    println!(
-        "modes: {} policies x {} churn rates reproduce {} within ±{:.1}% \
-         (0 misses, 0 audit findings, worst churn overhead {:.3}x, {} ms)",
-        fresh.grid.policies.len(),
-        fresh.grid.utilizations.len(),
-        MODES_FILE,
-        100.0 * args.tolerance,
-        commits_energy,
-        fresh.wall_ms
-    );
-    Ok(())
-}
-
-fn regulator(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let golden = load_golden(&dir, REGULATOR_FILE)?;
-    let fresh = run_regulator(&regulator_smoke_config(golden.seed));
-
-    // 1. No miss is ever policy-blamed, and the rate-0 column normalizes
-    //    to exactly 1: the ideal regulator is provably free.
-    let mut excused_misses = 0u64;
-    for series in &fresh.series {
-        for p in &series.points {
-            if p.deadline_miss != 0 {
-                return Err(format!(
-                    "regulator: {} blamed for {} miss(es) at adversity rate {} — \
-                     a policy-blamed miss under regulator failure is a driver bug",
+                    "{name}: {} blamed for {} miss(es) or audit finding(s) at rate {} — \
+                     adversity must never read as a policy bug",
                     series.policy, p.deadline_miss, p.u
                 ));
             }
             if p.u.to_bits() == 0.0_f64.to_bits() && p.energy_norm.to_bits() != 1.0_f64.to_bits() {
                 return Err(format!(
-                    "regulator: {} normalizes to {} at rate 0 — the ideal \
-                     regulator must be byte-identical to no regulator at all",
+                    "{name}: {} normalizes to {} at rate 0 — an inactive adversity \
+                     must be byte-identical to none at all",
                     series.policy, p.energy_norm
                 ));
             }
-            excused_misses += p.fault_miss;
+            excused += p.fault_miss;
         }
     }
-
-    // 2. The fresh soak reproduces the committed golden.
-    let problems = compare(&golden, &fresh, args.tolerance);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("regulator: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {REGULATOR_FILE}; if the hardening model \
-             intentionally changed, regenerate the goldens with `figures run` and commit them",
-            problems.len()
-        ));
-    }
-
-    // 3. Structural invariants of the artifact itself.
     let structural = fresh.validate();
     if !structural.is_empty() {
         for p in &structural {
-            eprintln!("regulator: {REGULATOR_FILE}: {p}");
+            eprintln!("{name}: {}: {p}", soak.golden);
         }
-        return Err(format!("{} structural problem(s)", structural.len()));
+        return Err(format!(
+            "{name}: {} structural problem(s)",
+            structural.len()
+        ));
     }
-
-    println!(
-        "regulator: {} policies x {} adversity rates reproduce {} within ±{:.1}% \
-         ({} excused misses, 0 policy-blamed, ideal regulator bit-exact, {} ms)",
-        fresh.grid.policies.len(),
-        fresh.grid.utilizations.len(),
-        REGULATOR_FILE,
-        100.0 * args.tolerance,
-        excused_misses,
-        fresh.wall_ms
-    );
-    Ok(())
+    Ok(excused)
 }
 
-/// Shared invariants of a fresh clock-soak grid: no policy-blamed
-/// miss anywhere, and the rate-0 column bitwise 1 (the inactive clock
-/// plan draws nothing, so it must be byte-identical to no plan at all).
-fn clock_invariants(fresh: &BenchArtifact) -> Result<u64, String> {
-    let mut excused_misses = 0u64;
-    for series in &fresh.series {
-        for p in &series.points {
-            if p.deadline_miss != 0 {
-                return Err(format!(
-                    "clock: {} blamed for {} miss(es) at fault rate {} — \
-                     a policy-blamed miss under clock faults is a time-base bug",
-                    series.policy, p.deadline_miss, p.u
-                ));
-            }
-            if p.u.to_bits() == 0.0_f64.to_bits() && p.energy_norm.to_bits() != 1.0_f64.to_bits() {
-                return Err(format!(
-                    "clock: {} normalizes to {} at rate 0 — the inactive clock \
-                     plan must be byte-identical to no plan at all",
-                    series.policy, p.energy_norm
-                ));
-            }
-            excused_misses += p.fault_miss;
-        }
-    }
-    Ok(excused_misses)
-}
-
-fn clock(args: &Args) -> Result<(), String> {
+/// Runs one registered soak: regenerates its golden under `--write`,
+/// otherwise re-runs it at the golden's seed and requires the invariants
+/// and a byte-identical canonical payload.
+fn soak_gate(soak: &Soak, args: &Args) -> Result<(), String> {
     let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let path = dir.join(CLOCK_FILE);
-
+    let regenerate = format!("figures {} --write", soak.name);
     if args.write {
-        let art = run_clock(&clock_smoke_config(args.seed));
-        clock_invariants(&art)?;
-        let structural = art.validate();
-        if !structural.is_empty() {
-            for p in &structural {
-                eprintln!("clock: {p}");
-            }
-            return Err(format!("{} structural problem(s)", structural.len()));
-        }
-        std::fs::write(&path, art.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        return Ok(());
+        let art = soak.run(&soak.smoke_grid(args.seed));
+        soak_invariants(soak, &art)?;
+        return write_artifact(&dir, soak.golden, &art);
     }
 
-    let golden = load_golden(&dir, CLOCK_FILE)?;
-    let fresh = run_clock(&clock_smoke_config(golden.seed));
-
-    // 1. No miss is ever policy-blamed, and the rate-0 column normalizes
-    //    to exactly 1: the inactive clock plan is provably free.
-    let excused_misses = clock_invariants(&fresh)?;
-
-    // 2. The fresh soak reproduces the committed golden.
-    let problems = compare(&golden, &fresh, args.tolerance);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("clock: {p}");
+    let golden = load_golden(&dir, soak.golden, &regenerate)?;
+    let fresh = soak.run(&soak.smoke_grid(golden.seed));
+    let excused = soak_invariants(soak, &fresh)?;
+    let (want, got) = (golden.canonical_json(), fresh.canonical_json());
+    if want != got {
+        for (w, g) in want.lines().zip(got.lines()).filter(|(w, g)| w != g) {
+            let name = soak.name;
+            eprintln!("{name}: golden {}\n{name}: fresh  {}", w.trim(), g.trim());
         }
         return Err(format!(
-            "{} divergence(s) from {CLOCK_FILE}; if the time-base model \
-             intentionally changed, regenerate with `figures clock --write` and commit",
-            problems.len()
+            "{}: fresh run is not byte-identical to {}; if the model intentionally \
+             changed, regenerate with `{regenerate}` and commit",
+            soak.name, soak.golden
         ));
     }
-
-    // 3. Structural invariants of the artifact itself.
-    let structural = fresh.validate();
-    if !structural.is_empty() {
-        for p in &structural {
-            eprintln!("clock: {CLOCK_FILE}: {p}");
-        }
-        return Err(format!("{} structural problem(s)", structural.len()));
-    }
-
     println!(
-        "clock: {} policies x {} fault rates reproduce {} within ±{:.1}% \
-         ({} excused misses, 0 policy-blamed, inactive plan bit-exact, {} ms)",
+        "{}: {} policies x {} rates reproduce {} byte-for-byte \
+         ({excused} excused misses, 0 blamed, rate 0 bit-exact, {} ms)",
+        soak.name,
         fresh.grid.policies.len(),
         fresh.grid.utilizations.len(),
-        CLOCK_FILE,
-        100.0 * args.tolerance,
-        excused_misses,
+        soak.golden,
         fresh.wall_ms
     );
     Ok(())
@@ -1073,15 +844,15 @@ fn main() -> ExitCode {
         "run" => run(&args),
         "check" => check(&args),
         "bench" => bench(&args),
-        "chaos" => chaos(&args),
-        "modes" => modes(&args),
-        "regulator" => regulator(&args),
-        "clock" => clock(&args),
+        "soaks" => SOAKS.iter().try_for_each(|soak| soak_gate(soak, &args)),
         "throughput" => throughput(&args),
         "tenants" => tenants(&args),
         "campaign" => campaign(&args),
         "repro" => repro(&args),
-        other => Err(format!("unknown command {other}\n{}", usage())),
+        other => match find_soak(other) {
+            Some(soak) => soak_gate(soak, &args),
+            None => Err(format!("unknown command {other}\n{}", usage())),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

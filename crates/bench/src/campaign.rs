@@ -3,10 +3,9 @@
 //! minimization.
 //!
 //! The earlier soaks each stress one layer in isolation — WCET overruns
-//! (`crate::tenants`), regulator failures plus brownouts
-//! (`crate::regulator`), transactional mode churn (`crate::modes`),
-//! crash/restore (`tests/recovery.rs`), a flooding tenant
-//! (`crate::tenants`), and clock/timer faults (`crate::clock`). The
+//! (`crate::tenants`), regulator failures plus brownouts, transactional
+//! mode churn, and clock/timer faults (`crate::soak`), crash/restore
+//! (`tests/recovery.rs`), and a flooding tenant (`crate::tenants`). The
 //! campaign turns them into *dimensions* of one
 //! [`ChaosPlan`] and runs all of them against the same kernel at once:
 //! the relaxed Table 2 hard-RT set plus a two-lane tenant server on the
@@ -29,8 +28,8 @@
 //! per-rung ladder histogram, post-kill recovery latency) and audited
 //! against the campaign's [`AvailabilityPolicy`] (bounded recovery,
 //! availability floor) on top of the lifecycle and tenant-isolation
-//! auditors. Misses are blame-classified as in `crate::regulator`, with
-//! injected overruns also excusing (the fault dimension voids the
+//! auditors. Misses are blame-classified as in the soaks (`blame`),
+//! with injected overruns also excusing (the fault dimension voids the
 //! admission premises just like hardware adversity does).
 //!
 //! # Repro minimization
@@ -58,8 +57,7 @@ use rtdvs_platform::{PowerNowCpu, UnreliableRegulator};
 use rtdvs_taskgen::{OpenLoopGen, OpenLoopSpec, Request, SplitMix64};
 
 use crate::artifact::{fmt_f64, ArtifactError, Json};
-use crate::clock::clock_plan;
-use crate::regulator::regulator_plan;
+use crate::soak::{clock_plan, regulator_plan};
 use crate::tenants::RELAXED_TABLE2;
 
 /// Schema identifier of the campaign golden (`BENCH_campaign.json`).
@@ -88,14 +86,18 @@ const SLOT_MS: f64 = 10.0;
 /// instant inside the slot (revived from the latest checkpoint).
 const KILL_SLOT_MS: f64 = 500.0;
 
-/// Spacing of the churn decision slots (matches `crate::modes`).
+/// Spacing of the churn decision slots, milliseconds: every slot
+/// boundary flips a coin with the churn rate.
 const CHURN_SLOT_MS: f64 = 20.0;
 
-/// Spacing of the brownout decision slots (matches `crate::regulator`).
+/// Spacing of the brownout decision slots, milliseconds: every slot
+/// boundary flips a coin with the brownout rate; heads imposes the cap
+/// for that slot, tails lifts it.
 const BROWNOUT_SLOT_MS: f64 = 100.0;
 
-/// The operating point a brownout clamps to (index into the K6-2+'s
-/// seven points; keeps the relaxed set feasible under the cap).
+/// The operating point a brownout clamps to. Index 3 of the K6-2+'s
+/// seven points keeps the relaxed set EDF-feasible under the cap's
+/// frequency scaling, so a capped slot degrades energy, not guarantees.
 const BROWNOUT_CAP_POINT: usize = 3;
 
 /// Checkpoint cadence: what a kill can rewind to.
@@ -228,7 +230,7 @@ pub struct FloodDim {
 /// Clock-fault dimension: a seeded [`rtdvs_sim::ClockPlan`] at `rate`
 /// (drift retargets at the rate; tick loss and coalescing at half,
 /// backward jumps at a quarter — the same scaling as
-/// [`crate::clock::clock_plan`]), acting only inside the window.
+/// the clock soak's `clock_plan`), acting only inside the window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockDim {
     /// Clock adversity rate (per-tick drift-retarget probability).
@@ -516,10 +518,11 @@ pub fn materialize(plan: &ChaosPlan) -> CampaignSchedules {
     }
 }
 
-/// One coin per slot regardless of rate or window (stable stream
-/// positions); cap changes are emitted only inside the window, and an
-/// imposed cap is lifted at the first boundary at or past the window end.
-fn brownout_schedule(
+/// The brownout cap schedule `(instant, cap)`: one coin per slot
+/// regardless of rate or window (stable stream positions); cap changes
+/// are emitted only inside the window, and an imposed cap is lifted at
+/// the first boundary at or past the window end. Empty at rate 0.
+pub(crate) fn brownout_schedule(
     stream: &mut SplitMix64,
     rate: f64,
     window: &Window,
@@ -570,8 +573,9 @@ fn kill_schedule(
     }
 }
 
-/// One coin per slot regardless of rate or window.
-fn churn_schedule(
+/// The churn-transaction instants: one coin per slot regardless of rate
+/// or window, firing with probability `rate` inside the window.
+pub(crate) fn churn_schedule(
     stream: &mut SplitMix64,
     rate: f64,
     window: &Window,
@@ -611,6 +615,54 @@ fn invocation_window(window: &Window, period_ms: f64) -> (u64, u64) {
 // ---------------------------------------------------------------------------
 // The cell runner
 // ---------------------------------------------------------------------------
+
+/// Splits a kernel log's deadline misses into `(blamed, excused)` in log
+/// order: once any event `excuses` accepts has been logged, the admission
+/// test's premises are void and later misses are the adversity's fault;
+/// a miss before that is the policy's.
+pub(crate) fn blame(
+    log: &[(Time, KernelEvent)],
+    excuses: impl Fn(&KernelEvent) -> bool,
+) -> (u64, u64) {
+    let mut acted = false;
+    let (mut blamed, mut excused) = (0u64, 0u64);
+    for (_, event) in log {
+        if excuses(event) {
+            acted = true;
+        } else if matches!(event, KernelEvent::DeadlineMiss { .. }) {
+            if acted {
+                excused += 1;
+            } else {
+                blamed += 1;
+            }
+        }
+    }
+    (blamed, excused)
+}
+
+/// A regulator fallback, brownout cap change, ladder step, or supervisor
+/// restore: the hardware (or a recovery) acted.
+pub(crate) fn is_hardware_event(event: &KernelEvent) -> bool {
+    matches!(
+        event,
+        KernelEvent::RegulatorFallback { .. }
+            | KernelEvent::BrownoutCapSet { .. }
+            | KernelEvent::LadderStepped { .. }
+            | KernelEvent::SupervisorRestored
+    )
+}
+
+/// A tick-gap recovery, clamped backward jump, watchdog action, or late
+/// release: the clock acted.
+pub(crate) fn is_clock_event(event: &KernelEvent) -> bool {
+    matches!(
+        event,
+        KernelEvent::ClockTickGap { .. }
+            | KernelEvent::ClockJumpClamped { .. }
+            | KernelEvent::ClockWatchdog { .. }
+            | KernelEvent::ReleaseLate { .. }
+    )
+}
 
 /// One policy's raw campaign outcome.
 struct CellRun {
@@ -877,38 +929,16 @@ fn run_cell(
         }
     }
 
-    // Blame classification: once any hardware adversity, restore, clock
-    // fault, or injected overrun is in the log, the admission premises
-    // are void and later misses are excused; a miss before all of that
-    // is a policy bug.
-    let mut adversity_acted = false;
-    let mut blamed = 0u64;
-    let mut excused = 0u64;
-    let mut clock_events = 0u64;
-    for (_, event) in kernel.log() {
-        match event {
-            KernelEvent::RegulatorFallback { .. }
-            | KernelEvent::BrownoutCapSet { .. }
-            | KernelEvent::LadderStepped { .. }
-            | KernelEvent::SupervisorRestored
-            | KernelEvent::Overrun { .. } => adversity_acted = true,
-            KernelEvent::ClockTickGap { .. }
-            | KernelEvent::ClockJumpClamped { .. }
-            | KernelEvent::ClockWatchdog { .. }
-            | KernelEvent::ReleaseLate { .. } => {
-                adversity_acted = true;
-                clock_events += 1;
-            }
-            KernelEvent::DeadlineMiss { .. } => {
-                if adversity_acted {
-                    excused += 1;
-                } else {
-                    blamed += 1;
-                }
-            }
-            _ => {}
-        }
-    }
+    // Any hardware adversity, restore, clock fault, or injected overrun
+    // excuses the misses after it.
+    let (blamed, excused) = blame(kernel.log(), |e| {
+        is_hardware_event(e) || is_clock_event(e) || matches!(e, KernelEvent::Overrun { .. })
+    });
+    let clock_events = kernel
+        .log()
+        .iter()
+        .filter(|(_, e)| is_clock_event(e))
+        .count() as u64;
 
     let n_periods = n_slots.max(1);
     let standings = [
@@ -1774,6 +1804,23 @@ mod tests {
         assert!(p.active_dimensions() == vec!["faults", "flood", "clock"]);
         p.clock.rate = 0.0;
         assert!(p.active_dimensions() == vec!["faults", "flood"]);
+    }
+
+    #[test]
+    fn brownout_schedule_alternates_and_respects_rate_zero() {
+        let mut stream = SplitMix64::seed_from_u64(9).split(0);
+        assert!(brownout_schedule(&mut stream, 0.0, &Window::full(), 600.0).is_empty());
+        let mut stream = SplitMix64::seed_from_u64(9).split(0);
+        let schedule = brownout_schedule(&mut stream, 0.7, &Window::full(), 600.0);
+        assert!(!schedule.is_empty(), "rate 0.7 never browned out");
+        // Strictly alternating impose/lift, starting with an imposition.
+        for (i, (_, cap)) in schedule.iter().enumerate() {
+            if i % 2 == 0 {
+                assert_eq!(*cap, Some(BROWNOUT_CAP_POINT));
+            } else {
+                assert_eq!(*cap, None);
+            }
+        }
     }
 
     #[test]

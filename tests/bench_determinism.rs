@@ -8,11 +8,13 @@
 //! These tests pin that claim at the two layers CI relies on (the merged
 //! `Sweep` and the serialized artifact), and prove the `compare`
 //! tolerance gate actually rejects the regressions it exists to catch.
+//! The seeded soaks go further: each fresh run must reproduce its
+//! committed golden byte for byte.
 
 use std::num::NonZeroUsize;
 
 use rtdvs_bench::figures::{smoke_sweep_artifact, smoke_sweep_config};
-use rtdvs_bench::{compare, run_sweep, run_sweep_threads};
+use rtdvs_bench::{compare, run_sweep, run_sweep_threads, BenchArtifact, SOAKS};
 
 const SEED: u64 = 0x5eed;
 
@@ -100,4 +102,23 @@ fn compare_accepts_identical_rerun() {
     let golden = smoke_sweep_artifact(SEED, threads(1));
     let rerun = smoke_sweep_artifact(SEED, threads(2));
     assert_eq!(compare(&golden, &rerun, 0.01), Vec::<String>::new());
+}
+
+/// Every registered soak, re-run at its golden's seed, reproduces the
+/// committed `BENCH_*.json` canonical payload byte for byte.
+#[test]
+fn soak_goldens_reproduce_byte_for_byte() {
+    for soak in &SOAKS {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(soak.golden);
+        let text = std::fs::read_to_string(&path).expect("soak goldens are committed");
+        let golden = BenchArtifact::from_json(&text).expect("soak goldens parse");
+        let fresh = soak.run(&soak.smoke_grid(golden.seed));
+        assert_eq!(
+            fresh.canonical_json(),
+            golden.canonical_json(),
+            "{} diverged from {}",
+            soak.name,
+            soak.golden
+        );
+    }
 }

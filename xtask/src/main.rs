@@ -15,28 +15,17 @@
 //!   gate: delegates to `figures check` (crates/bench), which re-runs the
 //!   reduced sweep grid and diffs it against the committed
 //!   `BENCH_sweep.json` within ±1% energy, and structurally validates
-//!   `BENCH_paper_figures.json` and `BENCH_faults.json`.
-//! * `cargo run -p xtask -- chaos` — the fault-injection gate: delegates
-//!   to `figures chaos`, which re-runs the chaos-soak grid, asserts no
-//!   injected fault is ever misclassified as a policy bug, and diffs the
-//!   result against the committed `BENCH_faults.json`.
-//! * `cargo run -p xtask -- modes` — the mode-churn gate: delegates to
-//!   `figures modes`, which re-runs the transactional mode-change soak,
-//!   asserts no commit ever costs a deadline and that every kernel log
-//!   replays clean through the lifecycle auditor, and diffs the result
-//!   against the committed `BENCH_modes.json`.
-//! * `cargo run -p xtask -- regulator` — the regulator-hardening gate:
-//!   delegates to `figures regulator`, which re-runs the regulator-soak
-//!   grid (unreliable regulator plus brownout caps), asserts no miss is
-//!   ever policy-blamed and that the ideal regulator is bit-exact against
-//!   no regulator at all, and diffs the result against the committed
-//!   `BENCH_regulator.json`.
-//! * `cargo run -p xtask -- clock` — the time-base hardening gate:
-//!   delegates to `figures clock`, which re-runs the clock-fault soak
-//!   grid (oscillator drift, lost and coalesced ticks, bounded backward
-//!   RTC jumps), asserts no miss is ever policy-blamed and that the
-//!   inactive clock plan is bit-exact against no plan at all, and diffs
-//!   the result against the committed `BENCH_clock.json`.
+//!   `BENCH_paper_figures.json`.
+//! * `cargo run -p xtask -- soaks` — the seeded-soak gate: delegates to
+//!   `figures soaks`, which runs every soak registered in
+//!   `rtdvs_bench::soak::SOAKS` in one process — simulator fault
+//!   injection (`BENCH_faults.json`), transactional mode churn
+//!   (`BENCH_modes.json`), an unreliable regulator with brownout caps
+//!   (`BENCH_regulator.json`), and clock faults (`BENCH_clock.json`) —
+//!   asserts nothing is ever blamed on a policy and that each rate-0
+//!   column is bit-exact, and diffs each canonical payload byte-for-byte
+//!   against its committed golden. `figures <soak> [--write]` runs (or
+//!   regenerates) one of them.
 //! * `cargo run -p xtask -- throughput` — the scheduler hot-path gate:
 //!   delegates to `figures throughput`, which pins the Table 2 traces
 //!   byte-identically against the frozen pre-refactor engine, re-measures
@@ -155,69 +144,117 @@ struct Finding {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") => lint(),
-        Some("analyze") => analyze(&args[1..]),
-        Some("ci") => ci(&args[1..]),
-        Some("bench-check") => figures_gate("check", &args[1..]),
-        Some("chaos") => figures_gate("chaos", &args[1..]),
-        Some("modes") => figures_gate("modes", &args[1..]),
-        Some("regulator") => figures_gate("regulator", &args[1..]),
-        Some("clock") => figures_gate("clock", &args[1..]),
-        Some("throughput") => figures_gate("throughput", &args[1..]),
-        Some("tenants") => figures_gate("tenants", &args[1..]),
-        Some("campaign") => figures_gate("campaign", &args[1..]),
-        Some("repro") => figures_gate("repro", &args[1..]),
+    let name = args.first().map_or("", String::as_str);
+    let gate = FIGURES_GATES.iter().find(|g| g.name == name);
+    match (name, gate) {
+        ("lint", _) => lint(),
+        ("analyze", _) => analyze(&args[1..]),
+        ("ci", _) => ci(&args[1..]),
+        (_, Some(gate)) => figures_gate(gate.command, &args[1..]),
         _ => {
+            let gates: Vec<&str> = FIGURES_GATES.iter().map(|g| g.name).collect();
             eprintln!(
-                "usage: cargo run -p xtask -- \
-                 <lint|analyze|ci|bench-check|chaos|modes|regulator|clock|throughput|tenants|\
-                 campaign|repro>"
+                "usage: cargo run -p xtask -- <lint|analyze|ci|{}>",
+                gates.join("|")
             );
             ExitCode::from(2)
         }
     }
 }
 
-/// One stage of the CI gate: a name and the argv it runs (always `cargo`
-/// from the workspace root), or — with an empty argv — an in-process
-/// pass dispatched by name (`lint`, `analyze`).
-struct Stage {
+/// A subcommand that delegates to a `figures` gate in `rtdvs-bench`.
+struct FiguresGate {
+    /// The xtask subcommand (and, when `in_ci`, the `ci` stage name).
     name: &'static str,
-    args: &'static [&'static str],
+    /// The `figures` subcommand it runs.
+    command: &'static str,
+    /// Whether `ci` runs it as a stage, after the cargo stages.
+    in_ci: bool,
 }
 
-/// The full local gate, in dependency order. `lint` and `analyze` are
-/// the in-process passes (empty argv); everything else shells out to
-/// cargo so the stages are exactly what a contributor would type.
-const STAGES: [Stage; 16] = [
+/// Every figures-delegating subcommand, in `ci` stage order.
+const FIGURES_GATES: [FiguresGate; 6] = [
+    FiguresGate {
+        name: "bench-check",
+        command: "check",
+        in_ci: true,
+    },
+    FiguresGate {
+        name: "soaks",
+        command: "soaks",
+        in_ci: true,
+    },
+    FiguresGate {
+        name: "throughput",
+        command: "throughput",
+        in_ci: true,
+    },
+    FiguresGate {
+        name: "tenants",
+        command: "tenants",
+        in_ci: true,
+    },
+    FiguresGate {
+        name: "campaign",
+        command: "campaign",
+        in_ci: true,
+    },
+    FiguresGate {
+        name: "repro",
+        command: "repro",
+        in_ci: false,
+    },
+];
+
+/// One stage of the CI gate.
+struct Stage {
+    name: &'static str,
+    run: Run,
+}
+
+/// How a stage runs.
+enum Run {
+    /// The in-process `lint` pass.
+    Lint,
+    /// The in-process `analyze` pass.
+    Analyze,
+    /// `cargo` with this argv, from the workspace root — exactly what a
+    /// contributor would type.
+    Cargo(&'static [&'static str]),
+    /// A `figures` gate (see [`FIGURES_GATES`]).
+    Figures(&'static str),
+}
+
+/// The in-process and cargo stages of the gate, in dependency order; the
+/// figures gates follow them (see [`stages`]).
+const CARGO_STAGES: [Stage; 8] = [
     Stage {
         name: "fmt",
-        args: &["fmt", "--all", "--check"],
+        run: Run::Cargo(&["fmt", "--all", "--check"]),
     },
     Stage {
         name: "clippy",
-        args: &["clippy", "--workspace", "--", "-D", "warnings"],
+        run: Run::Cargo(&["clippy", "--workspace", "--", "-D", "warnings"]),
     },
     Stage {
         name: "lint",
-        args: &[],
+        run: Run::Lint,
     },
     Stage {
         name: "analyze",
-        args: &[],
+        run: Run::Analyze,
     },
     Stage {
         name: "build",
-        args: &["build", "--workspace", "--release"],
+        run: Run::Cargo(&["build", "--workspace", "--release"]),
     },
     Stage {
         name: "test",
-        args: &["test", "--workspace", "-q"],
+        run: Run::Cargo(&["test", "--workspace", "-q"]),
     },
     Stage {
         name: "recovery-smoke",
-        args: &[
+        run: Run::Cargo(&[
             "test",
             "-q",
             "--release",
@@ -225,130 +262,29 @@ const STAGES: [Stage; 16] = [
             "rtdvs",
             "--test",
             "recovery",
-        ],
+        ]),
     },
     Stage {
         name: "examples",
-        args: &["build", "--examples"],
-    },
-    Stage {
-        name: "bench-check",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "check",
-        ],
-    },
-    Stage {
-        name: "chaos",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "chaos",
-        ],
-    },
-    Stage {
-        name: "modes",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "modes",
-        ],
-    },
-    Stage {
-        name: "regulator",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "regulator",
-        ],
-    },
-    Stage {
-        name: "clock",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "clock",
-        ],
-    },
-    Stage {
-        name: "throughput",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "throughput",
-        ],
-    },
-    Stage {
-        name: "tenants",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "tenants",
-        ],
-    },
-    Stage {
-        name: "campaign",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "campaign",
-        ],
+        run: Run::Cargo(&["build", "--examples"]),
     },
 ];
+
+/// The full local gate: the cargo stages, then every figures gate that
+/// runs in CI.
+fn stages() -> Vec<Stage> {
+    let gates = FIGURES_GATES.iter().filter(|g| g.in_ci).map(|g| Stage {
+        name: g.name,
+        run: Run::Figures(g.command),
+    });
+    CARGO_STAGES.into_iter().chain(gates).collect()
+}
 
 /// Runs the full offline gate with per-stage wall-clock timing and a
 /// summary table. Stops at the first failing stage (later stages would
 /// only add noise) but always prints the table.
 fn ci(args: &[String]) -> ExitCode {
+    let stages = stages();
     let mut skip: Vec<String> = Vec::new();
     let mut json_out: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -373,7 +309,7 @@ fn ci(args: &[String]) -> ExitCode {
                 eprintln!("usage: cargo run -p xtask -- ci [--skip stage1,stage2] [--json PATH]");
                 eprintln!(
                     "stages: {}",
-                    STAGES.iter().map(|s| s.name).collect::<Vec<_>>().join(", ")
+                    stages.iter().map(|s| s.name).collect::<Vec<_>>().join(", ")
                 );
                 return ExitCode::from(2);
             }
@@ -384,7 +320,7 @@ fn ci(args: &[String]) -> ExitCode {
     // hard errors, not notes.
     let unknown: Vec<&String> = skip
         .iter()
-        .filter(|name| !STAGES.iter().any(|s| s.name == name.as_str()))
+        .filter(|name| !stages.iter().any(|s| s.name == name.as_str()))
         .collect();
     if !unknown.is_empty() {
         for name in &unknown {
@@ -392,41 +328,27 @@ fn ci(args: &[String]) -> ExitCode {
         }
         eprintln!(
             "valid stages: {}",
-            STAGES.iter().map(|s| s.name).collect::<Vec<_>>().join(", ")
+            stages.iter().map(|s| s.name).collect::<Vec<_>>().join(", ")
         );
         return ExitCode::from(2);
     }
 
-    let root = repo_root();
     let mut results: Vec<(&'static str, &'static str, f64)> = Vec::new();
     let mut failed = false;
     let total = Instant::now();
-    for stage in &STAGES {
+    for stage in &stages {
         if skip.iter().any(|s| s == stage.name) {
             results.push((stage.name, "skipped", 0.0));
             continue;
         }
         println!("==> {}", stage.name);
         let start = Instant::now();
-        let ok = if stage.args.is_empty() {
-            let code = match stage.name {
-                "analyze" => analyze(&[]),
-                _ => lint(),
-            };
-            code == ExitCode::SUCCESS
-        } else {
-            match Command::new("cargo")
-                .args(stage.args)
-                .current_dir(&root)
-                .status()
-            {
-                Ok(status) => status.success(),
-                Err(e) => {
-                    eprintln!("cannot spawn cargo: {e}");
-                    false
-                }
-            }
-        };
+        let ok = match stage.run {
+            Run::Lint => lint(),
+            Run::Analyze => analyze(&[]),
+            Run::Cargo(argv) => cargo(argv, &[]),
+            Run::Figures(command) => figures_gate(command, &[]),
+        } == ExitCode::SUCCESS;
         let secs = start.elapsed().as_secs_f64();
         results.push((stage.name, if ok { "ok" } else { "FAILED" }, secs));
         if !ok {
@@ -483,23 +405,29 @@ fn stage_times_json(results: &[(&str, &str, f64)], total_secs: f64, failed: bool
     s
 }
 
-/// Delegates to an artifact gate in `rtdvs-bench` (`figures check` or
-/// `figures chaos`), forwarding any extra arguments (e.g. `--tolerance
-/// 0.02` or `--golden-dir some/dir`).
+/// Delegates to an artifact gate in `rtdvs-bench` (`figures check`,
+/// `figures soaks`, ...), forwarding any extra arguments (e.g.
+/// `--tolerance 0.02` or `--golden-dir some/dir`).
 fn figures_gate(command: &str, args: &[String]) -> ExitCode {
+    let figures = [
+        "run",
+        "-q",
+        "--release",
+        "-p",
+        "rtdvs-bench",
+        "--bin",
+        "figures",
+        "--",
+        command,
+    ];
+    cargo(&figures, args)
+}
+
+/// Runs `cargo argv extra` from the workspace root.
+fn cargo(argv: &[&str], extra: &[String]) -> ExitCode {
     let status = Command::new("cargo")
-        .args([
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            command,
-        ])
-        .args(args)
+        .args(argv)
+        .args(extra)
         .current_dir(repo_root())
         .status();
     match status {
