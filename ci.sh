@@ -4,7 +4,7 @@
 # workflow both delegate to, so the local gate and the hosted pipeline
 # cannot drift. Every stage runs with no network access.
 #
-# Pass-through: `./ci.sh --skip bench-check`, `./ci.sh --json times.json`,
+# Pass-through: `./ci.sh --skip goldens`, `./ci.sh --json times.json`,
 # etc. Unknown stage names after --skip are hard errors (the gate lists
 # the valid stages and exits non-zero), so a typo cannot silently run —
 # or silently skip — the wrong stage.

@@ -1,6 +1,47 @@
-//! Machine-readable `BENCH_*.json` artifacts and their comparator.
+//! The one JSON codec, and the `BENCH_*.json` artifacts built on it.
 //!
-//! Schema (version 1):
+//! # The codec
+//!
+//! [`Json`] is a parsed or built document tree. Numbers keep their
+//! literal text ([`Json::Num`]), so a 64-bit seed round-trips without
+//! `f64` truncation and a builder picks the decimals each field is
+//! written with (`Json::fixed`). [`Json::render`] is the one writer.
+//! It knows exactly two object layouts, and the builder chooses:
+//!
+//! * a **block** ([`Json::Obj`]) puts one member per line, indented two
+//!   spaces per level;
+//! * a **row** ([`Json::Row`]) puts every member on one line.
+//!
+//! An array of objects is written one object per line, even when the
+//! array sits inside a row (the bench `series[].points` case). Any other
+//! array is written inline (`[0.5000, 0.9000]`). Strings escape `"`,
+//! `\` and every control character; the parser decodes the RFC 8259
+//! escape set, caps nesting at 64 levels, and never panics.
+//!
+//! [`diff`] compares two trees and names every differing path with both
+//! values (`cells[4].availability: 0.983929 vs golden 0.990000`). Object
+//! layout is not compared: two trees from the same builder that diff
+//! empty render to the same bytes.
+//!
+//! # Artifacts
+//!
+//! Every artifact implements [`Artifact`]: a schema identifier, a tree
+//! builder ([`Artifact::to_value`]), a reader ([`Artifact::from_value`])
+//! and its invariants ([`Artifact::validate`]). The trait supplies
+//! `to_json`, `canonical_json` and `from_json`, so the schema check
+//! exists once. The canonical form zeroes provenance (wall clock, thread
+//! count, measured rates); what remains is a pure function of the seed,
+//! and the golden gates diff exactly that.
+//!
+//! Readers look fields up by name and ignore keys they do not know, so
+//! an artifact written by a newer producer with extra fields still
+//! loads. The workspace has no registry dependencies, so the codec is
+//! hand-rolled here.
+//!
+//! # `rtdvs-bench/v1`
+//!
+//! [`BenchArtifact`], the Figures 6–8 curves, the smoke sweep and the
+//! seeded soaks:
 //!
 //! ```json
 //! {
@@ -11,16 +52,17 @@
 //!     "grid": {
 //!       "label": "paper-figures",
 //!       "n_tasks": [5, 10, 15],
-//!       "utilizations": [0.05, ...],
+//!       "utilizations": [0.0500, ...],
 //!       "sets_per_point": 50,
-//!       "duration_ms": 2000.0,
+//!       "duration_ms": 2000.000,
 //!       "policies": ["EDF", ...]
 //!     }
 //!   },
 //!   "series": [
-//!     {"policy": "ccEDF", "n_tasks": 5,
-//!      "points": [{"u": 0.05, "energy_norm": 0.5, "deadline_miss": 0,
-//!                  "fault_miss": 0}, ...]},
+//!     {"policy": "ccEDF", "n_tasks": 5, "points": [
+//!       {"u": 0.0500, "energy_norm": 0.500000, "deadline_miss": 0, "fault_miss": 0},
+//!       ...
+//!     ]},
 //!     ...
 //!   ],
 //!   "wall_ms": 1234
@@ -34,32 +76,74 @@
 //! misses plus non-miss audit findings, and `fault_miss` counts the
 //! misses an injected adversity excuses (see `crate::soak`). The
 //! guaranteed-policy zero-miss check then enforces "adversity never
-//! turns into a policy bug" mechanically.
-//!
-//! The reader is deliberately forward-compatible: it looks fields up by
-//! name and ignores object keys it does not know, so an artifact written
-//! by a newer producer with extra per-point or per-series fields still
-//! loads here (the comparator then only judges the fields both sides
-//! speak).
-//!
-//! Everything except `meta.threads` and `wall_ms` is a pure function of
-//! the experiment seed; [`BenchArtifact::canonical_json`] zeroes those two
-//! fields, and the determinism suite asserts the canonical form is
-//! byte-identical across thread counts. The workspace has no registry
-//! dependencies, so the writer and the reader are hand-rolled here.
+//! turns into a policy bug" mechanically. `meta.threads` and `wall_ms`
+//! are the provenance the canonical form zeroes.
 
-use core::fmt::Write as _;
 use std::fmt;
 
 use crate::sweep::Sweep;
 
-/// Schema identifier emitted into (and required from) every artifact.
-pub const SCHEMA: &str = "rtdvs-bench/v1";
+/// Deepest array/object nesting the parser accepts. Every artifact
+/// nests at most five levels; the cap turns hostile input into an error
+/// instead of a stack overflow.
+const MAX_DEPTH: usize = 64;
 
 /// Policies whose schedulability guarantee makes any deadline miss a bug
 /// (the EDF family; RM-based policies legitimately miss above the RM
 /// bound).
 pub const GUARANTEED_POLICIES: [&str; 4] = ["EDF", "StaticEDF", "ccEDF", "laEDF"];
+
+/// A committed artifact: one schema, one tree builder, one reader and
+/// its own invariants. Implementors provide the four items; the trait
+/// supplies the text forms and the schema check.
+pub trait Artifact: Sized {
+    /// Schema identifier written into (and required from) every document.
+    const SCHEMA: &'static str;
+
+    /// Builds the document tree, `"schema"` first. With `canonical`, the
+    /// provenance fields are zeroed.
+    fn to_value(&self, canonical: bool) -> Json;
+
+    /// Reads the artifact from a document whose schema has been checked.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first missing or ill-typed field.
+    fn from_value(value: &Json) -> Result<Self, ArtifactError>;
+
+    /// The invariants any passing artifact obeys, independent of a
+    /// golden to compare against. Returns one message per violation.
+    fn validate(&self) -> Vec<String>;
+
+    /// Serializes the artifact, provenance included.
+    fn to_json(&self) -> String {
+        self.to_value(false).render()
+    }
+
+    /// Serializes the deterministic payload: provenance zeroed. Two runs
+    /// at the same seed produce byte-identical canonical JSON.
+    fn canonical_json(&self) -> String {
+        self.to_value(true).render()
+    }
+
+    /// Parses an artifact from its JSON text.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first structural problem: malformed JSON, a schema
+    /// other than [`Artifact::SCHEMA`], or a missing/ill-typed field.
+    fn from_json(text: &str) -> Result<Self, ArtifactError> {
+        let value = Json::parse(text)?;
+        let schema = value.get("schema")?.as_str()?;
+        if schema != Self::SCHEMA {
+            return Err(ArtifactError(format!(
+                "schema mismatch: artifact says {schema:?}, reader speaks {:?}",
+                Self::SCHEMA
+            )));
+        }
+        Self::from_value(&value)
+    }
+}
 
 /// One plotted point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,7 +189,7 @@ pub struct BenchGrid {
     pub policies: Vec<String>,
 }
 
-/// A complete benchmark artifact.
+/// A complete `rtdvs-bench/v1` artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchArtifact {
     /// Experiment seed every stream derives from.
@@ -144,168 +228,111 @@ impl BenchArtifact {
             })
             .collect()
     }
+}
 
-    /// Serializes the artifact.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.render(self.threads, self.wall_ms)
+impl Artifact for BenchArtifact {
+    const SCHEMA: &'static str = "rtdvs-bench/v1";
+
+    fn to_value(&self, canonical: bool) -> Json {
+        let (threads, wall_ms) = if canonical {
+            (0, 0)
+        } else {
+            (self.threads as u64, self.wall_ms)
+        };
+        let grid = &self.grid;
+        let point = |p: &BenchPoint| {
+            Json::row([
+                ("u", Json::fixed(p.u, 4)),
+                ("energy_norm", Json::fixed(p.energy_norm, 6)),
+                ("deadline_miss", Json::int(p.deadline_miss)),
+                ("fault_miss", Json::int(p.fault_miss)),
+            ])
+        };
+        Json::block([
+            ("schema", Json::str(Self::SCHEMA)),
+            (
+                "meta",
+                Json::block([
+                    ("seed", Json::int(self.seed)),
+                    ("threads", Json::int(threads)),
+                    (
+                        "grid",
+                        Json::block([
+                            ("label", Json::str(&grid.label)),
+                            (
+                                "n_tasks",
+                                Json::list(grid.n_tasks.iter().map(|&n| Json::int(n as u64))),
+                            ),
+                            (
+                                "utilizations",
+                                Json::list(grid.utilizations.iter().map(|&u| Json::fixed(u, 4))),
+                            ),
+                            ("sets_per_point", Json::int(grid.sets_per_point as u64)),
+                            ("duration_ms", Json::fixed(grid.duration_ms, 3)),
+                            ("policies", Json::list(grid.policies.iter().map(Json::str))),
+                        ]),
+                    ),
+                ]),
+            ),
+            (
+                "series",
+                Json::list(self.series.iter().map(|s| {
+                    Json::row([
+                        ("policy", Json::str(&s.policy)),
+                        ("n_tasks", Json::int(s.n_tasks as u64)),
+                        ("points", Json::list(s.points.iter().map(point))),
+                    ])
+                })),
+            ),
+            ("wall_ms", Json::int(wall_ms)),
+        ])
     }
 
-    /// Serializes with `threads` and `wall_ms` zeroed: the deterministic
-    /// payload. Two runs of the same grid and seed must produce
-    /// byte-identical canonical JSON regardless of thread count.
-    #[must_use]
-    pub fn canonical_json(&self) -> String {
-        self.render(0, 0)
-    }
-
-    fn render(&self, threads: usize, wall_ms: u64) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{\n  \"schema\": \"{SCHEMA}\",\n  \"meta\": {{");
-        let _ = writeln!(
-            s,
-            "    \"seed\": {},\n    \"threads\": {threads},",
-            self.seed
-        );
-        let _ = writeln!(s, "    \"grid\": {{");
-        let _ = writeln!(s, "      \"label\": \"{}\",", self.grid.label);
-        let _ = writeln!(
-            s,
-            "      \"n_tasks\": {},",
-            json_usize_list(&self.grid.n_tasks)
-        );
-        let _ = writeln!(
-            s,
-            "      \"utilizations\": {},",
-            json_f64_list(&self.grid.utilizations, 4)
-        );
-        let _ = writeln!(s, "      \"sets_per_point\": {},", self.grid.sets_per_point);
-        let _ = writeln!(
-            s,
-            "      \"duration_ms\": {},",
-            fmt_f64(self.grid.duration_ms, 3)
-        );
-        let _ = writeln!(
-            s,
-            "      \"policies\": {}",
-            json_str_list(&self.grid.policies)
-        );
-        let _ = writeln!(s, "    }}\n  }},\n  \"series\": [");
-        for (i, series) in self.series.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"policy\": \"{}\", \"n_tasks\": {}, \"points\": [",
-                series.policy, series.n_tasks
-            );
-            for (j, p) in series.points.iter().enumerate() {
-                let _ = writeln!(
-                    s,
-                    "      {{\"u\": {}, \"energy_norm\": {}, \"deadline_miss\": {}, \
-                     \"fault_miss\": {}}}{}",
-                    fmt_f64(p.u, 4),
-                    fmt_f64(p.energy_norm, 6),
-                    p.deadline_miss,
-                    p.fault_miss,
-                    if j + 1 < series.points.len() { "," } else { "" }
-                );
-            }
-            let _ = writeln!(
-                s,
-                "    ]}}{}",
-                if i + 1 < self.series.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(s, "  ],\n  \"wall_ms\": {wall_ms}\n}}");
-        s
-    }
-
-    /// Parses an artifact back from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem: malformed
-    /// JSON, wrong schema identifier, or a missing/ill-typed field.
-    pub fn from_json(text: &str) -> Result<BenchArtifact, ArtifactError> {
-        let value = Json::parse(text)?;
-        let schema = value.get("schema")?.as_str()?;
-        if schema != SCHEMA {
-            return Err(ArtifactError(format!(
-                "schema mismatch: artifact says {schema:?}, reader speaks {SCHEMA:?}"
-            )));
-        }
+    fn from_value(value: &Json) -> Result<BenchArtifact, ArtifactError> {
         let meta = value.get("meta")?;
         let grid = meta.get("grid")?;
         Ok(BenchArtifact {
             seed: meta.get("seed")?.as_u64()?,
-            threads: meta.get("threads")?.as_u64()? as usize,
+            threads: meta.get("threads")?.as_usize()?,
             grid: BenchGrid {
                 label: grid.get("label")?.as_str()?.to_owned(),
-                n_tasks: grid
-                    .get("n_tasks")?
-                    .as_array()?
-                    .iter()
-                    .map(|v| Ok(v.as_u64()? as usize))
-                    .collect::<Result<_, ArtifactError>>()?,
-                utilizations: grid
-                    .get("utilizations")?
-                    .as_array()?
-                    .iter()
-                    .map(Json::as_f64)
-                    .collect::<Result<_, ArtifactError>>()?,
-                sets_per_point: grid.get("sets_per_point")?.as_u64()? as usize,
+                n_tasks: grid.get("n_tasks")?.map_items(Json::as_usize)?,
+                utilizations: grid.get("utilizations")?.map_items(Json::as_f64)?,
+                sets_per_point: grid.get("sets_per_point")?.as_usize()?,
                 duration_ms: grid.get("duration_ms")?.as_f64()?,
                 policies: grid
                     .get("policies")?
-                    .as_array()?
-                    .iter()
-                    .map(|v| Ok(v.as_str()?.to_owned()))
-                    .collect::<Result<_, ArtifactError>>()?,
+                    .map_items(|p| Ok(p.as_str()?.to_owned()))?,
             },
-            series: value
-                .get("series")?
-                .as_array()?
-                .iter()
-                .map(|entry| {
-                    Ok(BenchSeries {
-                        policy: entry.get("policy")?.as_str()?.to_owned(),
-                        n_tasks: entry.get("n_tasks")?.as_u64()? as usize,
-                        points: entry
-                            .get("points")?
-                            .as_array()?
-                            .iter()
-                            .map(|p| {
-                                Ok(BenchPoint {
-                                    u: p.get("u")?.as_f64()?,
-                                    energy_norm: p.get("energy_norm")?.as_f64()?,
-                                    deadline_miss: p.get("deadline_miss")?.as_u64()?,
-                                    // Absent in pre-fault artifacts.
-                                    fault_miss: match p.get("fault_miss") {
-                                        Ok(v) => v.as_u64()?,
-                                        Err(_) => 0,
-                                    },
-                                })
-                            })
-                            .collect::<Result<_, ArtifactError>>()?,
-                    })
+            series: value.get("series")?.map_items(|s| {
+                Ok(BenchSeries {
+                    policy: s.get("policy")?.as_str()?.to_owned(),
+                    n_tasks: s.get("n_tasks")?.as_usize()?,
+                    points: s.get("points")?.map_items(|p| {
+                        Ok(BenchPoint {
+                            u: p.get("u")?.as_f64()?,
+                            energy_norm: p.get("energy_norm")?.as_f64()?,
+                            deadline_miss: p.get("deadline_miss")?.as_u64()?,
+                            // Absent in pre-fault artifacts.
+                            fault_miss: p.find("fault_miss").map_or(Ok(0), Json::as_u64)?,
+                        })
+                    })?,
                 })
-                .collect::<Result<_, ArtifactError>>()?,
+            })?,
             wall_ms: value.get("wall_ms")?.as_u64()?,
         })
     }
 
-    /// Structural invariants any well-formed artifact must satisfy,
-    /// independent of a golden to compare against: every series covers the
-    /// whole utilization grid, plain EDF normalizes to 1, guaranteed
-    /// policies never miss, and energies are positive. Returns one message
-    /// per violation.
+    /// Every series covers the whole utilization grid, plain EDF
+    /// normalizes to 1, guaranteed policies never miss, and energies are
+    /// positive.
     ///
     /// Soak grids normalize each policy against its own clean run, so
     /// the EDF-normalizes-to-1 check does not apply there; the
     /// guaranteed-policy check does (and, because those artifacts put
     /// only policy-blamed misses in `deadline_miss`, it enforces that no
     /// injected adversity was ever misclassified as a policy bug).
-    #[must_use]
-    pub fn validate(&self) -> Vec<String> {
+    fn validate(&self) -> Vec<String> {
         let soak = crate::soak::is_soak_label(&self.grid.label);
         let mut problems = Vec::new();
         let expected_series = self.grid.policies.len() * self.grid.n_tasks.len();
@@ -353,72 +380,6 @@ impl BenchArtifact {
     }
 }
 
-/// Compares a fresh artifact against the committed golden: identical grid,
-/// every energy within `tolerance` (relative), and deadline-miss counts
-/// unchanged. Returns one message per divergence; empty means the run
-/// reproduces the golden.
-#[must_use]
-pub fn compare(golden: &BenchArtifact, fresh: &BenchArtifact, tolerance: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    if golden.grid != fresh.grid {
-        problems.push(format!(
-            "grid mismatch: golden ran {:?}, fresh ran {:?} — regenerate the golden if the \
-             grid change is intentional",
-            golden.grid.label, fresh.grid.label
-        ));
-        return problems;
-    }
-    if golden.seed != fresh.seed {
-        problems.push(format!(
-            "seed mismatch: golden {} vs fresh {}",
-            golden.seed, fresh.seed
-        ));
-        return problems;
-    }
-    if golden.series.len() != fresh.series.len() {
-        problems.push(format!(
-            "series count mismatch: golden {} vs fresh {}",
-            golden.series.len(),
-            fresh.series.len()
-        ));
-        return problems;
-    }
-    for (g, f) in golden.series.iter().zip(&fresh.series) {
-        let tag = format!("{}/{} tasks", g.policy, g.n_tasks);
-        if g.policy != f.policy || g.n_tasks != f.n_tasks || g.points.len() != f.points.len() {
-            problems.push(format!("{tag}: series shape diverged"));
-            continue;
-        }
-        for (gp, fp) in g.points.iter().zip(&f.points) {
-            let denom = gp.energy_norm.abs().max(1e-12);
-            let rel = (fp.energy_norm - gp.energy_norm).abs() / denom;
-            if rel > tolerance {
-                problems.push(format!(
-                    "{tag} at U={}: energy {} vs golden {} ({:+.2}% > ±{:.2}%)",
-                    gp.u,
-                    fp.energy_norm,
-                    gp.energy_norm,
-                    100.0 * (fp.energy_norm - gp.energy_norm) / denom,
-                    100.0 * tolerance
-                ));
-            }
-            if fp.deadline_miss != gp.deadline_miss {
-                problems.push(format!(
-                    "{tag} at U={}: {} deadline miss(es) vs golden {}",
-                    gp.u, fp.deadline_miss, gp.deadline_miss
-                ));
-            }
-            if fp.fault_miss != gp.fault_miss {
-                problems.push(format!(
-                    "{tag} at U={}: {} fault-induced miss(es) vs golden {}",
-                    gp.u, fp.fault_miss, gp.fault_miss
-                ));
-            }
-        }
-    }
-    problems
-}
-
 /// A parse or schema error, with the offending path or byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactError(pub String);
@@ -431,23 +392,72 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// A parsed JSON value. Numbers keep their source text so 64-bit seeds
-/// round-trip without `f64` truncation.
+/// A JSON document tree (see the module docs for the two object
+/// layouts).
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
+pub enum Json {
+    /// `null`.
     Null,
+    /// `true` / `false`.
     Bool(bool),
+    /// A number, as its literal text.
     Num(String),
+    /// A string (unescaped).
     Str(String),
+    /// An array.
     Arr(Vec<Json>),
+    /// An object written one member per line (a block). The parser
+    /// produces this layout.
     Obj(Vec<(String, Json)>),
+    /// An object written on one line (a row).
+    Row(Vec<(String, Json)>),
 }
 
 impl Json {
-    pub(crate) fn parse(text: &str) -> Result<Json, ArtifactError> {
+    /// An integer.
+    #[must_use]
+    pub(crate) fn int(n: u64) -> Json {
+        Json::Num(n.to_string())
+    }
+
+    /// A float with exactly `decimals` fractional digits — the codec's
+    /// one source of float text, deterministic across platforms.
+    #[must_use]
+    pub(crate) fn fixed(x: f64, decimals: usize) -> Json {
+        Json::Num(format!("{x:.decimals$}"))
+    }
+
+    /// A string.
+    #[must_use]
+    pub(crate) fn str(s: impl AsRef<str>) -> Json {
+        Json::Str(s.as_ref().to_owned())
+    }
+
+    /// An array.
+    pub(crate) fn list(items: impl IntoIterator<Item = Json>) -> Json {
+        Json::Arr(items.into_iter().collect())
+    }
+
+    /// A block object: one member per line.
+    pub(crate) fn block<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(owned(members))
+    }
+
+    /// A row object: every member on one line.
+    pub(crate) fn row<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Row(owned(members))
+    }
+
+    /// Parses a document.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, nesting deeper than 64 levels, or trailing
+    /// content, with the byte offset.
+    pub fn parse(text: &str) -> Result<Json, ArtifactError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ArtifactError(format!("trailing content at byte {pos}")));
@@ -455,47 +465,265 @@ impl Json {
         Ok(value)
     }
 
-    pub(crate) fn get(&self, key: &str) -> Result<&Json, ArtifactError> {
+    /// The canonical text: the one writer every artifact goes through,
+    /// newline-terminated.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    /// Writes the value starting mid-line on a line indented `indent`.
+    fn write(&self, out: &mut String, indent: usize) {
         match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| ArtifactError(format!("missing field {key:?}"))),
-            _ => Err(ArtifactError(format!("expected object around {key:?}"))),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(raw) => out.push_str(raw),
+            Json::Str(s) => write_str(out, s),
+            Json::Obj(members) => write_seq(out, indent, "{}", true, keyed(members)),
+            Json::Row(members) => write_seq(out, indent, "{}", false, keyed(members)),
+            Json::Arr(items) => {
+                let rows = items.first().is_some_and(|i| i.members().is_some());
+                write_seq(out, indent, "[]", rows, items.iter().map(|v| (None, v)));
+            }
         }
     }
 
-    pub(crate) fn as_str(&self) -> Result<&str, ArtifactError> {
+    /// The members of an object of either layout.
+    fn members(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(members) | Json::Row(members) => Some(members),
+            _ => None,
+        }
+    }
+
+    /// The member `key`, if this is an object that has it.
+    #[must_use]
+    pub(crate) fn find(&self, key: &str) -> Option<&Json> {
+        self.members()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
+    /// The member `key`.
+    ///
+    /// # Errors
+    ///
+    /// Not an object, or no such member.
+    pub fn get(&self, key: &str) -> Result<&Json, ArtifactError> {
+        match self.members() {
+            Some(_) => self
+                .find(key)
+                .ok_or_else(|| ArtifactError(format!("missing field {key:?}"))),
+            None => Err(ArtifactError(format!("expected object around {key:?}"))),
+        }
+    }
+
+    /// Reads every item of an array with `read`; an error if this is
+    /// not an array or `read` rejects an item.
+    pub(crate) fn map_items<T>(
+        &self,
+        read: impl Fn(&Json) -> Result<T, ArtifactError>,
+    ) -> Result<Vec<T>, ArtifactError> {
+        match self {
+            Json::Arr(items) => items.iter().map(read).collect(),
+            other => Err(other.mismatch("array")),
+        }
+    }
+
+    /// A string value; an error for anything else.
+    pub fn as_str(&self) -> Result<&str, ArtifactError> {
         match self {
             Json::Str(s) => Ok(s),
-            other => Err(ArtifactError(format!("expected string, found {other:?}"))),
+            other => Err(other.mismatch("string")),
         }
     }
 
-    pub(crate) fn as_array(&self) -> Result<&[Json], ArtifactError> {
+    /// A boolean value; an error for anything else.
+    pub(crate) fn as_bool(&self) -> Result<bool, ArtifactError> {
         match self {
-            Json::Arr(items) => Ok(items),
-            other => Err(ArtifactError(format!("expected array, found {other:?}"))),
+            Json::Bool(b) => Ok(*b),
+            other => Err(other.mismatch("bool")),
         }
     }
 
+    /// A number as `f64`; an error for anything else.
     pub(crate) fn as_f64(&self) -> Result<f64, ArtifactError> {
+        self.number("number")
+    }
+
+    /// A non-negative integer, exact to 64 bits; an error for anything
+    /// else.
+    pub(crate) fn as_u64(&self) -> Result<u64, ArtifactError> {
+        self.number("integer")
+    }
+
+    /// A non-negative integer that fits a `usize`; an error for anything
+    /// else.
+    pub(crate) fn as_usize(&self) -> Result<usize, ArtifactError> {
+        self.number("integer")
+    }
+
+    fn number<T: std::str::FromStr>(&self, want: &str) -> Result<T, ArtifactError>
+    where
+        T::Err: fmt::Display,
+    {
         match self {
             Json::Num(raw) => raw
-                .parse::<f64>()
-                .map_err(|e| ArtifactError(format!("bad number {raw:?}: {e}"))),
-            other => Err(ArtifactError(format!("expected number, found {other:?}"))),
+                .parse()
+                .map_err(|e| ArtifactError(format!("bad {want} {raw:?}: {e}"))),
+            other => Err(other.mismatch(want)),
         }
     }
 
-    pub(crate) fn as_u64(&self) -> Result<u64, ArtifactError> {
+    fn mismatch(&self, want: &str) -> ArtifactError {
+        ArtifactError(format!("expected {want}, found {}", self.summary()))
+    }
+
+    /// Scalars as their JSON text; containers by size (for messages).
+    fn summary(&self) -> String {
         match self {
-            Json::Num(raw) => raw
-                .parse::<u64>()
-                .map_err(|e| ArtifactError(format!("bad integer {raw:?}: {e}"))),
-            other => Err(ArtifactError(format!("expected integer, found {other:?}"))),
+            Json::Arr(items) => format!("an array of {}", items.len()),
+            Json::Obj(members) | Json::Row(members) => {
+                format!("an object of {} member(s)", members.len())
+            }
+            scalar => {
+                let mut out = String::new();
+                scalar.write(&mut out, 0);
+                out
+            }
         }
+    }
+}
+
+fn owned<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Vec<(String, Json)> {
+    members
+        .into_iter()
+        .map(|(k, v)| (k.to_owned(), v))
+        .collect()
+}
+
+fn keyed(members: &[(String, Json)]) -> impl Iterator<Item = (Option<&str>, &Json)> {
+    members.iter().map(|(k, v)| (Some(k.as_str()), v))
+}
+
+/// Writes `items` between `brackets`: one per line at `indent + 2` when
+/// `lines`, else inline. Keyed items are object members.
+fn write_seq<'a>(
+    out: &mut String,
+    indent: usize,
+    brackets: &str,
+    lines: bool,
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let (open, close) = brackets.split_at(1);
+    let inner = if lines { indent + 2 } else { indent };
+    out.push_str(open);
+    let mut empty = true;
+    for (key, value) in items {
+        if lines {
+            out.push_str(if empty { "\n" } else { ",\n" });
+            pad(out, inner);
+        } else if !empty {
+            out.push_str(", ");
+        }
+        empty = false;
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(": ");
+        }
+        value.write(out, inner);
+    }
+    if lines && !empty {
+        out.push('\n');
+        pad(out, indent);
+    }
+    out.push_str(close);
+}
+
+fn pad(out: &mut String, indent: usize) {
+    out.extend(std::iter::repeat_n(' ', indent));
+}
+
+/// Writes `s` as a JSON string literal: `"`, `\` and every control
+/// character escaped.
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Every path at which `fresh` differs from `golden`, one line each:
+/// `path: fresh vs golden golden`. Members are matched by key, arrays by
+/// index; object layout is ignored. Empty means the trees are equal.
+#[must_use]
+pub fn diff(golden: &Json, fresh: &Json) -> Vec<String> {
+    let mut out = Vec::new();
+    diff_at("", golden, fresh, &mut out);
+    out
+}
+
+fn diff_at(path: &str, golden: &Json, fresh: &Json, out: &mut Vec<String>) {
+    if let (Some(g), Some(f)) = (golden.members(), fresh.members()) {
+        let member = |key: &str| {
+            if path.is_empty() {
+                key.to_owned()
+            } else {
+                format!("{path}.{key}")
+            }
+        };
+        for (key, g) in g {
+            match fresh.find(key) {
+                Some(f) => diff_at(&member(key), g, f, out),
+                None => out.push(format!(
+                    "{}: missing vs golden {}",
+                    member(key),
+                    g.summary()
+                )),
+            }
+        }
+        for (key, f) in f.iter().filter(|(key, _)| golden.find(key).is_none()) {
+            out.push(format!(
+                "{}: {} vs golden missing",
+                member(key),
+                f.summary()
+            ));
+        }
+        return;
+    }
+    match (golden, fresh) {
+        (Json::Arr(g), Json::Arr(f)) => {
+            if g.len() != f.len() {
+                out.push(format!("{path}: {} items vs golden {}", f.len(), g.len()));
+            }
+            for (i, (g, f)) in g.iter().zip(f).enumerate() {
+                diff_at(&format!("{path}[{i}]"), g, f, out);
+            }
+        }
+        _ if golden != fresh => {
+            let at = if path.is_empty() { "<document>" } else { path };
+            out.push(format!(
+                "{at}: {} vs golden {}",
+                fresh.summary(),
+                golden.summary()
+            ));
+        }
+        _ => {}
     }
 }
 
@@ -517,44 +745,50 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), ArtifactError> 
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ArtifactError> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ArtifactError> {
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
+    let open = bytes.get(*pos).copied();
+    if matches!(open, Some(b'{' | b'[')) {
+        if depth == MAX_DEPTH {
+            return Err(ArtifactError(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {pos}"
+            )));
+        }
+        *pos += 1;
+        skip_ws(bytes, pos);
+    }
+    match open {
         Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
+            let mut members = Vec::new();
             if bytes.get(*pos) == Some(&b'}') {
                 *pos += 1;
-                return Ok(Json::Obj(fields));
+                return Ok(Json::Obj(members));
             }
             loop {
                 skip_ws(bytes, pos);
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                fields.push((key, parse_value(bytes, pos)?));
+                members.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
                     Some(b'}') => {
                         *pos += 1;
-                        return Ok(Json::Obj(fields));
+                        return Ok(Json::Obj(members));
                     }
                     _ => return Err(ArtifactError(format!("unterminated object at byte {pos}"))),
                 }
             }
         }
         Some(b'[') => {
-            *pos += 1;
             let mut items = Vec::new();
-            skip_ws(bytes, pos);
             if bytes.get(*pos) == Some(&b']') {
                 *pos += 1;
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -586,12 +820,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ArtifactError> {
             {
                 *pos += 1;
             }
-            if *pos == start {
+            // Only ASCII was consumed, so the slice is valid UTF-8.
+            let raw = String::from_utf8_lossy(&bytes[start..*pos]).into_owned();
+            if raw.parse::<f64>().is_err() {
                 return Err(ArtifactError(format!("unexpected byte at {start}")));
             }
-            let raw = core::str::from_utf8(&bytes[start..*pos])
-                .expect("numeric bytes are ASCII")
-                .to_owned();
             Ok(Json::Num(raw))
         }
         None => Err(ArtifactError("unexpected end of input".to_owned())),
@@ -602,65 +835,83 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ArtifactError> 
     expect(bytes, pos, b'"')?;
     let start = *pos;
     let mut out = String::new();
-    while *pos < bytes.len() {
-        match bytes[*pos] {
-            b'"' => {
+    loop {
+        // Copy the run up to the next quote, backslash or control byte.
+        // Those are ASCII and never occur inside a multi-byte sequence,
+        // so the run is whole UTF-8 scalars.
+        let run = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\' | 0..=0x1f) {
+            *pos += 1;
+        }
+        out.push_str(
+            core::str::from_utf8(&bytes[run..*pos])
+                .map_err(|_| ArtifactError(format!("invalid UTF-8 in string at byte {start}")))?,
+        );
+        match bytes.get(*pos) {
+            Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            b'\\' => {
-                // The writer never escapes anything beyond these; reject
-                // the rest rather than decode them wrongly.
-                match bytes.get(*pos + 1) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    other => {
-                        return Err(ArtifactError(format!(
-                            "unsupported escape {other:?} in string at byte {start}"
-                        )))
-                    }
-                }
+            Some(b'\\') => {
+                let at = *pos;
+                let escape = bytes.get(at + 1).copied();
                 *pos += 2;
+                let ch = match escape {
+                    Some(b'"') => Some('"'),
+                    Some(b'\\') => Some('\\'),
+                    Some(b'/') => Some('/'),
+                    Some(b'b') => Some('\u{8}'),
+                    Some(b'f') => Some('\u{c}'),
+                    Some(b'n') => Some('\n'),
+                    Some(b'r') => Some('\r'),
+                    Some(b't') => Some('\t'),
+                    Some(b'u') => parse_unicode_escape(bytes, pos),
+                    _ => None,
+                };
+                out.push(ch.ok_or_else(|| {
+                    ArtifactError(format!("invalid escape in string at byte {at}"))
+                })?);
             }
-            byte if byte < 0x80 => {
-                out.push(byte as char);
-                *pos += 1;
+            Some(_) => {
+                return Err(ArtifactError(format!(
+                    "unescaped control character in string at byte {pos}"
+                )))
             }
-            _ => {
-                // Multi-byte UTF-8: copy the full scalar.
-                let rest = core::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| ArtifactError(format!("invalid UTF-8 at byte {pos}")))?;
-                let ch = rest.chars().next().expect("non-empty by construction");
-                out.push(ch);
-                *pos += ch.len_utf8();
+            None => {
+                return Err(ArtifactError(format!(
+                    "unterminated string at byte {start}"
+                )))
             }
         }
     }
-    Err(ArtifactError(format!(
-        "unterminated string at byte {start}"
-    )))
 }
 
-/// Fixed-precision float formatting, the writer's one source of float
-/// text: deterministic across platforms for the determinism proof.
-pub(crate) fn fmt_f64(x: f64, decimals: usize) -> String {
-    format!("{x:.decimals$}")
+/// Decodes the `XXXX` after `\u` (and a following `\uXXXX` low
+/// surrogate when the first is a high one). `None` on malformed hex or
+/// an unpaired surrogate.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Option<char> {
+    let unit = hex4(bytes, pos)?;
+    if !(0xD800..0xDC00).contains(&unit) {
+        return char::from_u32(unit);
+    }
+    if bytes.get(*pos..*pos + 2) != Some(b"\\u".as_slice()) {
+        return None;
+    }
+    *pos += 2;
+    let low = hex4(bytes, pos)?;
+    if !(0xDC00..0xE000).contains(&low) {
+        return None;
+    }
+    char::from_u32(0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00))
 }
 
-fn json_f64_list(xs: &[f64], decimals: usize) -> String {
-    let items: Vec<String> = xs.iter().map(|&x| fmt_f64(x, decimals)).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn json_usize_list(xs: &[usize]) -> String {
-    let items: Vec<String> = xs.iter().map(usize::to_string).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn json_str_list(xs: &[String]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| format!("\"{x}\"")).collect();
-    format!("[{}]", items.join(", "))
+fn hex4(bytes: &[u8], pos: &mut usize) -> Option<u32> {
+    let digits = bytes.get(*pos..*pos + 4)?;
+    let unit = digits
+        .iter()
+        .try_fold(0, |acc, &d| Some(acc * 16 + char::from(d).to_digit(16)?))?;
+    *pos += 4;
+    Some(unit)
 }
 
 #[cfg(test)]
@@ -668,6 +919,12 @@ mod tests {
     use super::*;
 
     fn sample() -> BenchArtifact {
+        let point = |u, energy_norm| BenchPoint {
+            u,
+            energy_norm,
+            deadline_miss: 0,
+            fault_miss: 0,
+        };
         BenchArtifact {
             seed: 0x5eed,
             threads: 4,
@@ -683,38 +940,12 @@ mod tests {
                 BenchSeries {
                     policy: "EDF".to_owned(),
                     n_tasks: 8,
-                    points: vec![
-                        BenchPoint {
-                            u: 0.5,
-                            energy_norm: 1.0,
-                            deadline_miss: 0,
-                            fault_miss: 0,
-                        },
-                        BenchPoint {
-                            u: 0.9,
-                            energy_norm: 1.0,
-                            deadline_miss: 0,
-                            fault_miss: 0,
-                        },
-                    ],
+                    points: vec![point(0.5, 1.0), point(0.9, 1.0)],
                 },
                 BenchSeries {
                     policy: "ccEDF".to_owned(),
                     n_tasks: 8,
-                    points: vec![
-                        BenchPoint {
-                            u: 0.5,
-                            energy_norm: 0.51,
-                            deadline_miss: 0,
-                            fault_miss: 0,
-                        },
-                        BenchPoint {
-                            u: 0.9,
-                            energy_norm: 0.87,
-                            deadline_miss: 0,
-                            fault_miss: 0,
-                        },
-                    ],
+                    points: vec![point(0.5, 0.51), point(0.9, 0.87)],
                 },
             ],
             wall_ms: 321,
@@ -722,18 +953,11 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let art = sample();
-        let parsed = BenchArtifact::from_json(&art.to_json()).expect("round trip");
-        assert_eq!(parsed, art);
-    }
-
-    #[test]
     fn large_seed_round_trips_exactly() {
         let mut art = sample();
         art.seed = u64::MAX - 3; // not representable in f64
         let parsed = BenchArtifact::from_json(&art.to_json()).expect("round trip");
-        assert_eq!(parsed.seed, u64::MAX - 3);
+        assert_eq!(parsed, art);
     }
 
     #[test]
@@ -750,54 +974,119 @@ mod tests {
 
     #[test]
     fn schema_mismatch_is_rejected() {
-        let text = sample().to_json().replace(SCHEMA, "rtdvs-bench/v0");
+        let text = sample()
+            .to_json()
+            .replace(BenchArtifact::SCHEMA, "rtdvs-bench/v0");
         let err = BenchArtifact::from_json(&text).expect_err("wrong schema");
         assert!(err.0.contains("schema mismatch"), "{err}");
     }
 
     #[test]
     fn malformed_json_is_rejected() {
-        for bad in ["", "{", "{\"a\" 1}", "[1,", "{\"a\": 1} trailing"] {
-            assert!(BenchArtifact::from_json(bad).is_err(), "accepted {bad:?}");
+        for bad in [
+            "",
+            "{",
+            "{\"a\" 1}",
+            "[1,",
+            "{\"a\": 1} trailing",
+            "[--]",
+            "\"unterminated",
+            "\"raw\u{1}control\"",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            "\"\\udc00\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
 
     #[test]
-    fn compare_accepts_identity_and_small_drift() {
-        let golden = sample();
-        assert!(compare(&golden, &golden, 0.01).is_empty());
-        let mut fresh = sample();
-        fresh.series[1].points[0].energy_norm *= 1.005;
-        assert!(compare(&golden, &fresh, 0.01).is_empty());
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = BenchArtifact::from_json(&"[".repeat(1_000_000)).expect_err("too deep");
+        assert!(err.0.contains("nesting deeper than 64"), "{err}");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]
-    fn compare_rejects_two_percent_energy_delta() {
-        let golden = sample();
-        let mut fresh = sample();
-        fresh.series[1].points[1].energy_norm *= 1.02;
-        let problems = compare(&golden, &fresh, 0.01);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("ccEDF"), "{problems:?}");
-        assert!(problems[0].contains("U=0.9"), "{problems:?}");
+    fn truncated_input_is_an_error_at_every_cut() {
+        // Cutting a document anywhere — mid-number, mid-escape, inside a
+        // multi-byte character — is an error, never a panic.
+        let text =
+            Json::row([("k", Json::str("é\t\"x\" \u{1F600}")), ("n", Json::int(12))]).render();
+        for cut in 0..text.len() - 1 {
+            let prefix = String::from_utf8_lossy(&text.as_bytes()[..cut]);
+            assert!(Json::parse(&prefix).is_err(), "accepted {prefix:?}");
+        }
     }
 
     #[test]
-    fn compare_rejects_new_deadline_miss() {
-        let golden = sample();
-        let mut fresh = sample();
-        fresh.series[0].points[0].deadline_miss = 1;
-        let problems = compare(&golden, &fresh, 0.01);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("deadline miss"), "{problems:?}");
+    fn strings_escape_and_decode_the_rfc_8259_set() {
+        let nasty = "quote \" backslash \\ newline \n tab \t ctl \u{1} é \u{1F600}";
+        let text = Json::row([("s", Json::str(nasty))]).render();
+        assert_eq!(
+            text,
+            "{\"s\": \"quote \\\" backslash \\\\ newline \\n tab \\t ctl \\u0001 é \u{1F600}\"}\n"
+        );
+        let back = Json::parse(&text).expect("escaped text parses");
+        assert_eq!(back.get("s").and_then(Json::as_str), Ok(nasty));
+        // The parser also takes the escapes this writer never emits.
+        let other = Json::parse(r#""a\tb\/c\u00e9\ud83d\ude00\b\f\r""#).expect("RFC escapes");
+        assert_eq!(other, Json::str("a\tb/cé\u{1F600}\u{8}\u{c}\r"));
     }
 
     #[test]
-    fn compare_rejects_grid_drift() {
+    fn render_uses_the_two_layouts() {
+        let doc = Json::block([
+            ("a", Json::list([Json::int(1), Json::int(2)])),
+            (
+                "rows",
+                Json::list([Json::row([
+                    ("x", Json::fixed(0.5, 2)),
+                    ("inner", Json::list([Json::row([("y", Json::Null)])])),
+                ])]),
+            ),
+            ("empty", Json::list([])),
+            ("nested", Json::block([("t", Json::Bool(true))])),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"a\": [1, 2],\n  \"rows\": [\n    {\"x\": 0.50, \"inner\": [\n      \
+             {\"y\": null}\n    ]}\n  ],\n  \"empty\": [],\n  \"nested\": {\n    \
+             \"t\": true\n  }\n}\n"
+        );
+    }
+
+    #[test]
+    fn diff_names_every_differing_path() {
         let golden = sample();
+        assert!(diff(&golden.to_value(true), &golden.to_value(true)).is_empty());
         let mut fresh = sample();
+        fresh.series[1].points[0].energy_norm = 0.512;
+        fresh.series[0].points[0].fault_miss = 2;
         fresh.grid.sets_per_point = 3;
-        assert!(!compare(&golden, &fresh, 0.01).is_empty());
+        fresh.series[1].points.pop();
+        assert_eq!(
+            diff(&golden.to_value(true), &fresh.to_value(true)),
+            [
+                "meta.grid.sets_per_point: 3 vs golden 2",
+                "series[0].points[0].fault_miss: 2 vs golden 0",
+                "series[1].points: 1 items vs golden 2",
+                "series[1].points[0].energy_norm: 0.512000 vs golden 0.510000",
+            ]
+        );
+        let extra = Json::block([("a", Json::int(1)), ("b", Json::str("x"))]);
+        let fewer = Json::row([("a", Json::int(1)), ("c", Json::list([]))]);
+        assert_eq!(
+            diff(&extra, &fewer),
+            [
+                "b: missing vs golden \"x\"",
+                "c: an array of 0 vs golden missing"
+            ]
+        );
     }
 
     #[test]
@@ -823,10 +1112,7 @@ mod tests {
         let text = sample().to_json().replace(", \"fault_miss\": 0", "");
         assert!(!text.contains("fault_miss"));
         let parsed = BenchArtifact::from_json(&text).expect("tolerant parse");
-        assert!(parsed
-            .series
-            .iter()
-            .all(|s| s.points.iter().all(|p| p.fault_miss == 0)));
+        assert_eq!(parsed, sample());
     }
 
     #[test]
@@ -882,15 +1168,5 @@ mod tests {
         assert_ne!(text, art.to_json(), "replacements must have applied");
         let parsed = BenchArtifact::from_json(&text).expect("tolerant parse");
         assert_eq!(parsed, art);
-    }
-
-    #[test]
-    fn compare_rejects_fault_miss_drift() {
-        let golden = sample();
-        let mut fresh = sample();
-        fresh.series[1].points[1].fault_miss = 2;
-        let problems = compare(&golden, &fresh, 0.01);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("fault-induced"), "{problems:?}");
     }
 }

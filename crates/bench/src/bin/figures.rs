@@ -1,69 +1,48 @@
 //! Regenerates the paper's headline figures on the sharded runner and
-//! maintains the repo's `BENCH_*.json` trajectory.
+//! maintains the repo's `BENCH_*.json` goldens.
 //!
 //! ```text
 //! figures [run] [--quick] [--threads N] [--seed S] [--out DIR]
-//!     Regenerate Figures 6–8 and the smoke sweep; write
-//!     BENCH_paper_figures.json and BENCH_sweep.json into DIR (default:
-//!     the repository root).
-//!
-//! figures check [--tolerance FRACTION] [--golden-dir DIR] [--threads N]
-//!     Re-run the smoke grid and diff it against the committed
-//!     BENCH_sweep.json (default tolerance ±1% energy, deadline misses
-//!     must match exactly), then structurally validate the committed
-//!     BENCH_paper_figures.json. Exits non-zero on any divergence —
-//!     this is what `xtask bench-check` and the CI bench-smoke stage run.
+//!     Regenerate Figures 6–8 and the smoke sweep, print the panels, and
+//!     write BENCH_paper_figures.json and BENCH_sweep.json into DIR
+//!     (default: the repository root).
 //!
 //! figures bench [--threads-list 1,2,4] [--quick] [--seed S]
 //!     Run the Figure 6–8 grid once per thread count; report wall-clock,
 //!     event throughput, and speedup vs one thread, and verify the merged
 //!     results are byte-identical across thread counts.
 //!
-//! figures <chaos|modes|regulator|clock|soaks> [--golden-dir DIR] [--seed S] [--write]
-//!     Re-run a registered seeded soak's smoke grid (`soaks`: all of
-//!     them in turn) — chaos: simulator fault injection; modes:
-//!     transactional mode churn; regulator: unreliable regulator plus
-//!     brownout caps; clock: oscillator drift, lost and coalesced ticks,
-//!     backward RTC jumps — across all six paper policies. Assert that
-//!     nothing is ever blamed (no policy-blamed miss, no non-miss audit
-//!     finding), that the rate-0 column normalizes to exactly 1 (an
-//!     inactive adversity is provably free), and that the artifact
-//!     validates, then diff the canonical payload byte-for-byte against
-//!     the committed golden (BENCH_faults.json, BENCH_modes.json,
-//!     BENCH_regulator.json, BENCH_clock.json). `--write` regenerates
-//!     the golden instead. `figures soaks` is what `xtask soaks` and the
-//!     CI soaks stage run.
+//! figures <gate> [--golden-dir DIR] [--threads N] [--seed S] [--write]
+//!     Run one golden gate. It loads the committed golden, re-runs the
+//!     experiment at the golden's seed, and diffs the canonical payloads
+//!     (everything but provenance: wall clock, thread count, measured
+//!     rates) byte for byte; a divergence prints every differing JSON
+//!     path with both values. It then validates the fresh artifact, runs
+//!     the gate's own checks, and prints a summary. `--write` instead
+//!     runs at `--seed`, validates, checks, and writes the golden. Gates:
 //!
-//! figures tenants [--golden-dir DIR] [--seed S] [--write]
-//!     Re-run the multi-tenant serving soak (one tenant flooding at 10x
-//!     its quota beside five compliant tenants and the relaxed Table 2
-//!     hard-RT set under injected overruns), enforce the isolation
-//!     invariants (zero periodic misses, clean audits, no compliant-
-//!     tenant loss, compliant p99 within the configured limit of the
-//!     flood-free baseline), and diff the canonical payload byte-for-
-//!     byte against the committed BENCH_tenants.json. `--write`
-//!     regenerates the golden instead. This is what `xtask tenants` and
-//!     the CI tenants-smoke job run.
+//!     paper-figures  Figures 6-8 on the full 20-point grid
+//!                    (BENCH_paper_figures.json).
+//!     sweep          the 2-utilization smoke sweep (BENCH_sweep.json).
+//!     chaos, modes, regulator, clock
+//!                    the seeded soaks: simulator fault injection, mode
+//!                    churn, an unreliable regulator with brownout caps,
+//!                    clock faults (BENCH_faults/modes/regulator/clock.json).
+//!                    Nothing may be blamed on a policy and the rate-0
+//!                    column must normalize to exactly 1.
+//!     throughput     the O(1) engine against the frozen baseline
+//!                    (BENCH_throughput.json). The Table 2 traces must be
+//!                    byte-identical, and the measured events/s ratios
+//!                    must clear the floors.
+//!     tenants        a tenant flooding at 10x its quota beside five
+//!                    compliant tenants and the relaxed Table 2 set
+//!                    (BENCH_tenants.json).
+//!     campaign       every chaos dimension composed under one root seed
+//!                    (BENCH_campaign.json).
 //!
-//! figures throughput [--golden-dir DIR] [--seed S] [--write]
-//!     Pin the Table 2 traces byte-identically against the frozen
-//!     pre-refactor engine, measure events/s for both engines on the
-//!     Table 2 set and a 128-task soak, diff the machine-independent
-//!     payload against the committed BENCH_throughput.json, and enforce
-//!     the events/s ratio floors (≥5x baseline on the engine-dominated
-//!     soak policies). `--write` regenerates the golden instead. This is
-//!     what `xtask throughput` and the CI throughput-smoke job run.
-//!
-//! figures campaign [--golden-dir DIR] [--seed S] [--write]
-//!     Re-run the composed chaos campaign (WCET overruns + unreliable
-//!     regulator with brownouts + crash/restore kills + mode churn + a
-//!     flooding tenant, all derived from one root seed with phased
-//!     windows) across all six paper policies, enforce the campaign
-//!     invariants (0 policy-blamed misses, 0 audit findings including
-//!     the availability rules, kills actually restored), and diff the
-//!     canonical payload byte-for-byte against the committed
-//!     BENCH_campaign.json. `--write` regenerates the golden instead.
-//!     This is what `xtask campaign` and the CI campaign-smoke job run.
+//! figures goldens [--golden-dir DIR] [--threads N] [--seed S] [--write]
+//!     Run every gate above in one process and report each failure. This
+//!     is what `xtask goldens` and the CI goldens job run.
 //!
 //! figures repro [--write] [FILE]
 //!     Replay a minimized chaos repro (`rtdvs-repro/v1`) and require the
@@ -73,25 +52,25 @@
 //!     write it to FILE. This is what `xtask repro` runs.
 //! ```
 
+use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use rtdvs_bench::artifact::{compare, BenchArtifact};
 use rtdvs_bench::campaign::{
-    campaign_smoke_config, compare_campaign, known_violating_campaign, replay_repro, run_campaign,
-    shrink_plan, CampaignArtifact, ReproArtifact,
+    campaign_smoke_config, known_violating_campaign, replay_repro, run_campaign, shrink_plan,
+    CampaignArtifact, ReproArtifact,
 };
 use rtdvs_bench::figures::{
     paper_figures, paper_figures_artifact, smoke_sweep_artifact, PaperFigure, Scale,
 };
-use rtdvs_bench::render_normalized_chart;
-use rtdvs_bench::soak::{find_soak, Soak, SOAKS};
-use rtdvs_bench::tenants::{compare_tenants, run_tenants, tenants_smoke_config, TenantsArtifact};
+use rtdvs_bench::soak::{Soak, SOAKS};
+use rtdvs_bench::tenants::{run_tenants, tenants_smoke_config, TenantsArtifact};
 use rtdvs_bench::throughput::{
-    compare_throughput, floor_violations, pin_table2_traces, run_throughput,
-    throughput_smoke_config, ThroughputArtifact,
+    floor_violations, pin_table2_traces, run_throughput, throughput_smoke_config,
+    ThroughputArtifact,
 };
+use rtdvs_bench::{diff, render_normalized_chart, Artifact, BenchArtifact};
 
 /// Default experiment seed (the sweep harness default, `0x5eed`).
 const DEFAULT_SEED: u64 = 0x5eed;
@@ -99,9 +78,6 @@ const DEFAULT_SEED: u64 = 0x5eed;
 /// File names of the committed golden artifacts at the repository root.
 const PAPER_FIGURES_FILE: &str = "BENCH_paper_figures.json";
 const SWEEP_FILE: &str = "BENCH_sweep.json";
-const THROUGHPUT_FILE: &str = "BENCH_throughput.json";
-const TENANTS_FILE: &str = "BENCH_tenants.json";
-const CAMPAIGN_FILE: &str = "BENCH_campaign.json";
 
 /// Default location of the committed minimized repro, relative to the
 /// repository root.
@@ -115,7 +91,6 @@ struct Args {
     seed: u64,
     out: Option<PathBuf>,
     golden_dir: Option<PathBuf>,
-    tolerance: f64,
     write: bool,
     file: Option<PathBuf>,
 }
@@ -129,18 +104,15 @@ fn parse_args() -> Result<Args, String> {
         seed: DEFAULT_SEED,
         out: None,
         golden_dir: None,
-        tolerance: 0.01,
         write: false,
         file: None,
     };
+    let gate_names: Vec<&str> = gates().iter().map(|g| g.name).collect();
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
-            "run" | "check" | "bench" | "soaks" | "throughput" | "tenants" | "campaign"
-            | "repro" => {
-                args.command = a;
-            }
-            soak if find_soak(soak).is_some() => args.command = a,
+            "run" | "bench" | "goldens" | "repro" => args.command = a,
+            gate if gate_names.contains(&gate) => args.command = a,
             "--quick" => args.quick = true,
             "--write" => args.write = true,
             "--threads" => {
@@ -167,13 +139,6 @@ fn parse_args() -> Result<Args, String> {
                     argv.next().ok_or("--golden-dir needs a dir")?,
                 ));
             }
-            "--tolerance" => {
-                let v = argv.next().ok_or("--tolerance needs a fraction")?;
-                args.tolerance = v.parse().map_err(|e| format!("--tolerance {v}: {e}"))?;
-                if !(args.tolerance > 0.0 && args.tolerance < 1.0) {
-                    return Err(format!("tolerance {v} outside (0, 1)"));
-                }
-            }
             "--help" | "-h" => return Err(usage()),
             other if args.command == "repro" && args.file.is_none() && !other.starts_with('-') => {
                 args.file = Some(PathBuf::from(other));
@@ -185,11 +150,12 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
+    let gate_names: Vec<&str> = gates().iter().map(|g| g.name).collect();
     format!(
-        "usage: figures [run|check|bench|soaks|{}|throughput|tenants|campaign|repro] \
-         [--quick] [--threads N] [--threads-list 1,2,4] [--seed S] [--out DIR] \
-         [--golden-dir DIR] [--tolerance FRACTION] [--write] [FILE (repro only)]",
-        SOAKS.iter().map(|s| s.name).collect::<Vec<_>>().join("|")
+        "usage: figures [run|bench|goldens|{}|repro] [--quick] [--threads N] \
+         [--threads-list 1,2,4] [--seed S] [--out DIR] [--golden-dir DIR] [--write] \
+         [FILE (repro only)]",
+        gate_names.join("|")
     )
 }
 
@@ -252,7 +218,7 @@ fn print_panel(figure: &PaperFigure) {
     println!("{}", render_normalized_chart(&figure.run.sweep));
 }
 
-fn write_artifact(dir: &Path, name: &str, artifact: &BenchArtifact) -> Result<(), String> {
+fn write_artifact(dir: &Path, name: &str, artifact: &impl Artifact) -> Result<(), String> {
     let path = dir.join(name);
     std::fs::write(&path, artifact.to_json())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -289,84 +255,198 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn load_golden(dir: &Path, name: &str, regenerate: &str) -> Result<BenchArtifact, String> {
-    let path = dir.join(name);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read golden {}: {e} (run `{regenerate}` to create it)",
-            path.display()
-        )
-    })?;
-    BenchArtifact::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+/// A gate's body: [`golden_gate`] bound to one golden.
+type Check = Box<dyn Fn(&Args) -> Result<(), String>>;
+
+/// One committed golden, and the gate that reproduces it.
+struct Gate {
+    /// Subcommand name (`figures <name>`).
+    name: &'static str,
+    /// Runs [`golden_gate`] on this golden.
+    check: Check,
 }
 
-fn check(args: &Args) -> Result<(), String> {
-    let threads = resolve_threads(args.threads)?;
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
+impl Gate {
+    /// The gate for `file`, an artifact of type `A`: `seed` reads a
+    /// golden's seed, `run` re-runs the experiment at a seed, and `hook`
+    /// holds the gate's own checks and returns its summary.
+    fn new<A: Artifact + 'static>(
+        name: &'static str,
+        file: &'static str,
+        seed: fn(&A) -> u64,
+        run: impl Fn(u64, &Args) -> Result<A, String> + 'static,
+        hook: impl Fn(&A) -> Result<String, String> + 'static,
+    ) -> Gate {
+        Gate {
+            name,
+            check: Box::new(move |args| golden_gate(name, file, args, seed, &run, &hook)),
+        }
+    }
+}
 
-    // 1. Fresh smoke run vs the committed golden, within tolerance.
-    let golden = load_golden(&dir, SWEEP_FILE, "figures run")?;
-    let fresh = smoke_sweep_artifact(golden.seed, threads);
-    let problems = compare(&golden, &fresh, args.tolerance);
-    if problems.is_empty() {
-        println!(
-            "bench-check: smoke grid reproduces {} within ±{:.1}% ({} points, {} ms)",
+/// Every committed golden, in `figures goldens` order.
+fn gates() -> Vec<Gate> {
+    let bench_seed = |art: &BenchArtifact| art.seed;
+    let mut gates = vec![
+        Gate::new(
+            "paper-figures",
+            PAPER_FIGURES_FILE,
+            bench_seed,
+            |seed, args| {
+                let threads = resolve_threads(args.threads)?;
+                let scale = figures_scale(false);
+                let figures = paper_figures(scale, seed, threads);
+                Ok(paper_figures_artifact(&figures, scale, seed, threads))
+            },
+            |art| Ok(bench_summary(art)),
+        ),
+        Gate::new(
+            "sweep",
             SWEEP_FILE,
-            100.0 * args.tolerance,
-            golden.series.iter().map(|s| s.points.len()).sum::<usize>(),
-            fresh.wall_ms
-        );
-    } else {
-        for p in &problems {
-            eprintln!("bench-check: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {SWEEP_FILE}; if the energy model intentionally \
-             changed, regenerate the goldens with `figures run` and commit them",
-            problems.len()
-        ));
-    }
+            bench_seed,
+            |seed, args| Ok(smoke_sweep_artifact(seed, resolve_threads(args.threads)?)),
+            |art| Ok(bench_summary(art)),
+        ),
+    ];
+    gates.extend(SOAKS.iter().map(|soak| {
+        Gate::new(
+            soak.name,
+            soak.golden,
+            bench_seed,
+            move |seed, _| Ok(soak.run(&soak.smoke_grid(seed))),
+            move |art| soak_checks(soak, art),
+        )
+    }));
+    gates.push(Gate::new(
+        "throughput",
+        "BENCH_throughput.json",
+        |art: &ThroughputArtifact| art.seed,
+        |seed, _| Ok(run_throughput(&throughput_smoke_config(seed))),
+        throughput_checks,
+    ));
+    gates.push(Gate::new(
+        "tenants",
+        "BENCH_tenants.json",
+        |art: &TenantsArtifact| art.seed,
+        |seed, _| Ok(run_tenants(&tenants_smoke_config(seed))),
+        |art| Ok(tenants_summary(art)),
+    ));
+    gates.push(Gate::new(
+        "campaign",
+        "BENCH_campaign.json",
+        |art: &CampaignArtifact| art.seed,
+        |seed, _| Ok(run_campaign(&campaign_smoke_config(seed))),
+        |art| Ok(campaign_summary(art)),
+    ));
+    gates
+}
 
-    // 2. Structural invariants of the committed paper-figures artifact
-    //    (full regeneration is `figures run`; too slow for every push).
-    let golden = load_golden(&dir, PAPER_FIGURES_FILE, "figures run")?;
-    let structural = golden.validate();
-    if !structural.is_empty() {
-        for p in &structural {
-            eprintln!("bench-check: {PAPER_FIGURES_FILE}: {p}");
+/// The one golden gate. Loads `file`, re-runs at the golden's seed,
+/// diffs the canonical trees, validates the fresh artifact, runs `hook`
+/// and prints its summary. With `--write` it runs at `--seed` and writes
+/// the golden once validation and `hook` pass.
+fn golden_gate<A: Artifact>(
+    name: &str,
+    file: &str,
+    args: &Args,
+    seed: fn(&A) -> u64,
+    run: &dyn Fn(u64, &Args) -> Result<A, String>,
+    hook: &dyn Fn(&A) -> Result<String, String>,
+) -> Result<(), String> {
+    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
+    let regenerate = format!("figures {name} --write");
+    let golden = if args.write {
+        None
+    } else {
+        let path = dir.join(file);
+        let text = std::fs::read_to_string(&path).map_err(|e| {
+            format!(
+                "cannot read golden {}: {e} (run `{regenerate}` to create it)",
+                path.display()
+            )
+        })?;
+        Some(A::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?)
+    };
+    let fresh = run(golden.as_ref().map_or(args.seed, seed), args)?;
+
+    if let Some(golden) = &golden {
+        let drift = diff(&golden.to_value(true), &fresh.to_value(true));
+        if !drift.is_empty() {
+            for d in &drift {
+                eprintln!("{name}: {d}");
+            }
+            return Err(format!(
+                "{name}: {} divergence(s) from {file}; if the model intentionally changed, \
+                 regenerate with `{regenerate}` and commit",
+                drift.len()
+            ));
         }
-        return Err(format!(
-            "{PAPER_FIGURES_FILE}: {} structural problem(s)",
-            structural.len()
-        ));
     }
-    println!(
-        "bench-check: {PAPER_FIGURES_FILE} is structurally sound ({} series)",
-        golden.series.len()
-    );
+    let broken = fresh.validate();
+    if !broken.is_empty() {
+        for p in &broken {
+            eprintln!("{name}: {p}");
+        }
+        return Err(format!("{name}: {} invariant(s) broken", broken.len()));
+    }
+    let summary = hook(&fresh).map_err(|e| format!("{name}: {e}"))?;
+    if args.write {
+        write_artifact(&dir, file, &fresh)?;
+    } else {
+        println!("{name}: fresh run reproduces {file} byte for byte");
+    }
+    print!("{summary}");
     Ok(())
 }
 
-/// The invariants every fresh soak grid must hold: nothing blamed
-/// anywhere (policy-blamed misses and non-miss audit findings share that
-/// column), the rate-0 column bitwise 1 (an inactive adversity draws
-/// nothing, so it must be byte-identical to none at all), and a
-/// structurally valid artifact. Returns the excused-miss total.
-fn soak_invariants(soak: &Soak, fresh: &BenchArtifact) -> Result<u64, String> {
-    let name = soak.name;
+/// Runs every gate, reporting each failure rather than stopping at the
+/// first.
+fn goldens(args: &Args) -> Result<(), String> {
+    let mut failed = Vec::new();
+    for gate in gates() {
+        if let Err(e) = (gate.check)(args) {
+            eprintln!("{e}");
+            failed.push(gate.name);
+        }
+    }
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "{} golden gate(s) failed: {}",
+            failed.len(),
+            failed.join(", ")
+        ))
+    }
+}
+
+fn bench_summary(art: &BenchArtifact) -> String {
+    format!(
+        "  {} series x {} points, {} ms\n",
+        art.series.len(),
+        art.grid.utilizations.len(),
+        art.wall_ms
+    )
+}
+
+/// The soak invariants beyond `validate()`: nothing blamed anywhere
+/// (policy-blamed misses and non-miss audit findings share that column),
+/// and the rate-0 column bitwise 1 (an inactive adversity draws nothing,
+/// so it must be byte-identical to none at all).
+fn soak_checks(soak: &Soak, fresh: &BenchArtifact) -> Result<String, String> {
     let mut excused = 0u64;
     for series in &fresh.series {
         for p in &series.points {
             if p.deadline_miss != 0 {
                 return Err(format!(
-                    "{name}: {} blamed for {} miss(es) or audit finding(s) at rate {} — \
+                    "{} blamed for {} miss(es) or audit finding(s) at rate {} — \
                      adversity must never read as a policy bug",
                     series.policy, p.deadline_miss, p.u
                 ));
             }
             if p.u.to_bits() == 0.0_f64.to_bits() && p.energy_norm.to_bits() != 1.0_f64.to_bits() {
                 return Err(format!(
-                    "{name}: {} normalizes to {} at rate 0 — an inactive adversity \
+                    "{} normalizes to {} at rate 0 — an inactive adversity \
                      must be byte-identical to none at all",
                     series.policy, p.energy_norm
                 ));
@@ -374,119 +454,61 @@ fn soak_invariants(soak: &Soak, fresh: &BenchArtifact) -> Result<u64, String> {
             excused += p.fault_miss;
         }
     }
-    let structural = fresh.validate();
-    if !structural.is_empty() {
-        for p in &structural {
-            eprintln!("{name}: {}: {p}", soak.golden);
-        }
-        return Err(format!(
-            "{name}: {} structural problem(s)",
-            structural.len()
-        ));
-    }
-    Ok(excused)
-}
-
-/// Runs one registered soak: regenerates its golden under `--write`,
-/// otherwise re-runs it at the golden's seed and requires the invariants
-/// and a byte-identical canonical payload.
-fn soak_gate(soak: &Soak, args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let regenerate = format!("figures {} --write", soak.name);
-    if args.write {
-        let art = soak.run(&soak.smoke_grid(args.seed));
-        soak_invariants(soak, &art)?;
-        return write_artifact(&dir, soak.golden, &art);
-    }
-
-    let golden = load_golden(&dir, soak.golden, &regenerate)?;
-    let fresh = soak.run(&soak.smoke_grid(golden.seed));
-    let excused = soak_invariants(soak, &fresh)?;
-    let (want, got) = (golden.canonical_json(), fresh.canonical_json());
-    if want != got {
-        for (w, g) in want.lines().zip(got.lines()).filter(|(w, g)| w != g) {
-            let name = soak.name;
-            eprintln!("{name}: golden {}\n{name}: fresh  {}", w.trim(), g.trim());
-        }
-        return Err(format!(
-            "{}: fresh run is not byte-identical to {}; if the model intentionally \
-             changed, regenerate with `{regenerate}` and commit",
-            soak.name, soak.golden
-        ));
-    }
-    println!(
-        "{}: {} policies x {} rates reproduce {} byte-for-byte \
-         ({excused} excused misses, 0 blamed, rate 0 bit-exact, {} ms)",
-        soak.name,
+    Ok(format!(
+        "  {}: {} policies x {} rates, {excused} excused misses, 0 blamed, \
+         rate 0 bit-exact, {} ms\n",
+        soak.label,
         fresh.grid.policies.len(),
         fresh.grid.utilizations.len(),
-        soak.golden,
         fresh.wall_ms
-    );
-    Ok(())
+    ))
 }
 
-fn tenants(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let path = dir.join(TENANTS_FILE);
-
-    if args.write {
-        let art = run_tenants(&tenants_smoke_config(args.seed));
-        print_tenants_summary(&art);
-        let broken = art.validate();
-        if !broken.is_empty() {
-            for p in &broken {
-                eprintln!("tenants: {p}");
-            }
-            return Err(format!("{} isolation invariant(s) broken", broken.len()));
-        }
-        std::fs::write(&path, art.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        print_tenants_summary(&art);
-        return Ok(());
-    }
-
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read golden {}: {e} (run `figures tenants --write` to create it)",
-            path.display()
-        )
-    })?;
-    let golden =
-        TenantsArtifact::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-
-    // 1. Fresh soak at the golden's seed; everything except wall clock is
-    //    a pure function of it, so the canonical payloads must be
-    //    byte-identical.
-    let fresh = run_tenants(&tenants_smoke_config(golden.seed));
-    let problems = compare_tenants(&golden, &fresh);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("tenants: {p}");
-        }
+/// Pins the Table 2 traces byte-identically against the frozen
+/// pre-refactor engine, then holds the fresh run's measured events/s
+/// ratios to the floors.
+fn throughput_checks(art: &ThroughputArtifact) -> Result<String, String> {
+    pin_table2_traces().map_err(|e| format!("trace pinning failed: {e}"))?;
+    let slow = floor_violations(art);
+    if !slow.is_empty() {
         return Err(format!(
-            "{} divergence(s) from {TENANTS_FILE}; if the serving model intentionally \
-             changed, regenerate with `figures tenants --write` and commit",
-            problems.len()
+            "{} events/s floor violation(s) — the O(1) hot path has regressed:\n  {}",
+            slow.len(),
+            slow.join("\n  ")
         ));
     }
-
-    // 2. The isolation invariants hold on the fresh run: no periodic
-    //    miss, clean audits, no compliant-tenant loss, p99 within limit.
-    let broken = fresh.validate();
-    if !broken.is_empty() {
-        for p in &broken {
-            eprintln!("tenants: {p}");
+    let floored: Vec<_> = art.soak.iter().filter(|p| p.floored).collect();
+    let mut s = format!(
+        "  Table 2 traces byte-identical to the pre-refactor engine; {}-task soak sustains \
+         {:.1}-{:.1}x baseline events/s on {} floored policies (floor {}x), {} ms\n",
+        art.soak_tasks,
+        floored
+            .iter()
+            .map(|p| p.ratio)
+            .fold(f64::INFINITY, f64::min),
+        floored.iter().map(|p| p.ratio).fold(0.0, f64::max),
+        floored.len(),
+        art.floor_ratio,
+        art.wall_ms
+    );
+    for (panel, rows) in [("soak", &art.soak), ("table2", &art.table2)] {
+        for p in rows {
+            let _ = writeln!(
+                s,
+                "  {panel:>6} {:>9} {:>10} events {:>12.0} vs {:>12.0} events/s  {:>6.2}x{}",
+                p.policy,
+                p.events,
+                p.engine_eps,
+                p.baseline_eps,
+                p.ratio,
+                if p.floored { "  [floored]" } else { "" }
+            );
         }
-        return Err(format!("{} isolation invariant(s) broken", broken.len()));
     }
-
-    print_tenants_summary(&fresh);
-    Ok(())
+    Ok(s)
 }
 
-fn print_tenants_summary(art: &TenantsArtifact) {
+fn tenants_summary(art: &TenantsArtifact) -> String {
     let offered: u64 = art.tenants.iter().map(|t| t.offered).sum();
     let worst_ratio = art
         .tenants
@@ -494,9 +516,9 @@ fn print_tenants_summary(art: &TenantsArtifact) {
         .filter(|t| !t.flood)
         .map(|t| t.p99_ratio)
         .fold(0.0, f64::max);
-    println!(
-        "tenants: {} tenants, {} requests offered over {} ms; 0 periodic misses, \
-         0 audit findings, worst compliant p99 inflation {:.3}x (limit {:.2}x), {} ms",
+    let mut s = format!(
+        "  {} tenants, {} requests offered over {} ms; 0 periodic misses, \
+         0 audit findings, worst compliant p99 inflation {:.3}x (limit {:.2}x), {} ms\n",
         art.tenants.len(),
         offered,
         art.horizon_ms,
@@ -505,7 +527,8 @@ fn print_tenants_summary(art: &TenantsArtifact) {
         art.wall_ms
     );
     for t in &art.tenants {
-        println!(
+        let _ = writeln!(
+            s,
             "  tenant{} {} quota {:.3} ms  offered {:>8}  served {:>8}  shed {:>7}  \
              rejected {:>7}  quarantined {:>5} periods  p50 {:>7.3} p99 {:>7.3} \
              p999 {:>7.3} ms{}",
@@ -527,184 +550,13 @@ fn print_tenants_summary(art: &TenantsArtifact) {
             }
         );
     }
+    s
 }
 
-fn throughput(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let path = dir.join(THROUGHPUT_FILE);
-
-    // 1. Byte-identical-trace pinning: the O(1) engine must agree with
-    //    the frozen baseline on the paper's Table 2 set, byte for byte,
-    //    before any timing is trusted.
-    pin_table2_traces().map_err(|e| format!("throughput: trace pinning failed: {e}"))?;
-    println!("throughput: Table 2 traces byte-identical to the pre-refactor engine (6 policies)");
-
-    if args.write {
-        let art = run_throughput(&throughput_smoke_config(args.seed));
-        let structural = art.validate();
-        if !structural.is_empty() {
-            for p in &structural {
-                eprintln!("throughput: {p}");
-            }
-            return Err(format!("{} structural problem(s)", structural.len()));
-        }
-        std::fs::write(&path, art.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        print_throughput_summary(&art);
-        return Ok(());
-    }
-
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read golden {}: {e} (run `figures throughput --write` to create it)",
-            path.display()
-        )
-    })?;
-    let golden =
-        ThroughputArtifact::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-
-    // 2. Fresh measurement at the golden's seed and shape.
-    let mut cfg = throughput_smoke_config(golden.seed);
-    cfg.floor_ratio = golden.floor_ratio;
-    cfg.table2_floor_ratio = golden.table2_floor_ratio;
-    let fresh = run_throughput(&cfg);
-
-    // 3. The machine-independent payload (event counts, panel shapes,
-    //    floors) must reproduce the golden exactly.
-    let problems = compare_throughput(&golden, &fresh);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("throughput: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {THROUGHPUT_FILE}; if the engine or workload \
-             intentionally changed, regenerate with `figures throughput --write` and commit",
-            problems.len()
-        ));
-    }
-
-    // 4. The events/s floors hold on this machine's fresh measurement.
-    let slow = floor_violations(&fresh);
-    if !slow.is_empty() {
-        for p in &slow {
-            eprintln!("throughput: {p}");
-        }
-        return Err(format!(
-            "{} events/s floor violation(s) — the O(1) hot path has regressed",
-            slow.len()
-        ));
-    }
-
-    // 5. Structural invariants of the artifact itself.
-    let structural = fresh.validate();
-    if !structural.is_empty() {
-        for p in &structural {
-            eprintln!("throughput: {THROUGHPUT_FILE}: {p}");
-        }
-        return Err(format!("{} structural problem(s)", structural.len()));
-    }
-
-    print_throughput_summary(&fresh);
-    Ok(())
-}
-
-fn print_throughput_summary(art: &ThroughputArtifact) {
-    let floored: Vec<&rtdvs_bench::PolicyThroughput> =
-        art.soak.iter().filter(|p| p.floored).collect();
-    let worst = floored
-        .iter()
-        .map(|p| p.ratio)
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "throughput: {}-task soak sustains {:.1}-{:.1}x baseline events/s on {} floored \
-         policies (floor {}x), table2 pinned, {} ms",
-        art.soak_tasks,
-        worst,
-        floored.iter().map(|p| p.ratio).fold(0.0, f64::max),
-        floored.len(),
-        art.floor_ratio,
-        art.wall_ms
-    );
-    for (panel, rows) in [("soak", &art.soak), ("table2", &art.table2)] {
-        for p in rows {
-            println!(
-                "  {panel:>6} {:>9} {:>10} events {:>12.0} vs {:>12.0} events/s  {:>6.2}x{}",
-                p.policy,
-                p.events,
-                p.engine_eps,
-                p.baseline_eps,
-                p.ratio,
-                if p.floored { "  [floored]" } else { "" }
-            );
-        }
-    }
-}
-
-fn campaign(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let path = dir.join(CAMPAIGN_FILE);
-
-    if args.write {
-        let art = run_campaign(&campaign_smoke_config(args.seed));
-        let broken = art.validate();
-        if !broken.is_empty() {
-            for p in &broken {
-                eprintln!("campaign: {p}");
-            }
-            return Err(format!("{} campaign invariant(s) broken", broken.len()));
-        }
-        std::fs::write(&path, art.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        print_campaign_summary(&art);
-        return Ok(());
-    }
-
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read golden {}: {e} (run `figures campaign --write` to create it)",
-            path.display()
-        )
-    })?;
-    let golden =
-        CampaignArtifact::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-
-    // 1. Fresh campaign at the golden's seed; everything except wall
-    //    clock is a pure function of it, so the canonical payloads must
-    //    be byte-identical.
-    let fresh = run_campaign(&campaign_smoke_config(golden.seed));
-    let problems = compare_campaign(&golden, &fresh);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("campaign: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {CAMPAIGN_FILE}; if the chaos model intentionally \
-             changed, regenerate with `figures campaign --write` and commit",
-            problems.len()
-        ));
-    }
-
-    // 2. The campaign invariants hold on the fresh run: no policy-blamed
-    //    miss, no audit finding, every kill restored, availability above
-    //    the declared floor.
-    let broken = fresh.validate();
-    if !broken.is_empty() {
-        for p in &broken {
-            eprintln!("campaign: {p}");
-        }
-        return Err(format!("{} campaign invariant(s) broken", broken.len()));
-    }
-
-    print_campaign_summary(&fresh);
-    Ok(())
-}
-
-fn print_campaign_summary(art: &CampaignArtifact) {
-    println!(
-        "campaign: {} policies x [{}] over {} ms (seed {:#x}); 0 blamed misses, \
-         0 audit findings, floor {:.2}, recovery bound {:.0} ms, {} ms wall",
+fn campaign_summary(art: &CampaignArtifact) -> String {
+    let mut s = format!(
+        "  {} policies x [{}] over {} ms (seed {:#x}); 0 blamed misses, \
+         0 audit findings, floor {:.2}, recovery bound {:.0} ms, {} ms wall\n",
         art.cells.len(),
         art.dimensions.join(", "),
         art.horizon_ms,
@@ -714,7 +566,8 @@ fn print_campaign_summary(art: &CampaignArtifact) {
         art.wall_ms
     );
     for c in &art.cells {
-        println!(
+        let _ = writeln!(
+            s,
             "  {:>9}  kills {:>2} restores {:>2}  churn {:>3}  served {:>5}/{:>5}  \
              excused {:>3}  avail {:.4}  mttf {:>8.1} mttr {:>7.1} worst-rec {:>7.1} ms",
             c.policy,
@@ -730,6 +583,7 @@ fn print_campaign_summary(art: &CampaignArtifact) {
             c.worst_recovery_ms
         );
     }
+    s
 }
 
 fn repro(args: &Args) -> Result<(), String> {
@@ -767,6 +621,10 @@ fn repro(args: &Args) -> Result<(), String> {
         )
     })?;
     let repro = ReproArtifact::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let broken = repro.validate();
+    if !broken.is_empty() {
+        return Err(format!("{}: {}", path.display(), broken.join("; ")));
+    }
     replay_repro(&repro)?;
     println!(
         "repro: {} replays to the identical violation",
@@ -842,16 +700,12 @@ fn main() -> ExitCode {
     };
     let result = match args.command.as_str() {
         "run" => run(&args),
-        "check" => check(&args),
         "bench" => bench(&args),
-        "soaks" => SOAKS.iter().try_for_each(|soak| soak_gate(soak, &args)),
-        "throughput" => throughput(&args),
-        "tenants" => tenants(&args),
-        "campaign" => campaign(&args),
+        "goldens" => goldens(&args),
         "repro" => repro(&args),
-        other => match find_soak(other) {
-            Some(soak) => soak_gate(soak, &args),
-            None => Err(format!("unknown command {other}\n{}", usage())),
+        name => match gates().into_iter().find(|g| g.name == name) {
+            Some(gate) => (gate.check)(&args),
+            None => Err(format!("unknown command {name}\n{}", usage())),
         },
     };
     match result {

@@ -42,7 +42,6 @@
 //! are serialized as IEEE-754 bit patterns, so `figures repro <file>`
 //! (via `xtask repro`) replays it to the bit-identical violation.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use rtdvs_audit::{
@@ -56,15 +55,9 @@ use rtdvs_kernel::{KernelEvent, ModeChange, OverrunBody, RtKernel, Snapshot, Ten
 use rtdvs_platform::{PowerNowCpu, UnreliableRegulator};
 use rtdvs_taskgen::{OpenLoopGen, OpenLoopSpec, Request, SplitMix64};
 
-use crate::artifact::{fmt_f64, ArtifactError, Json};
+use crate::artifact::{Artifact, ArtifactError, Json};
 use crate::soak::{clock_plan, regulator_plan};
 use crate::tenants::RELAXED_TABLE2;
-
-/// Schema identifier of the campaign golden (`BENCH_campaign.json`).
-pub const CAMPAIGN_SCHEMA: &str = "rtdvs-campaign/v1";
-
-/// Schema identifier of a minimized repro artifact.
-pub const REPRO_SCHEMA: &str = "rtdvs-repro/v1";
 
 /// Stream tags of the root split, one per dimension plus the workload.
 /// The workload tag feeds the periodic bodies' base demand and the
@@ -288,78 +281,51 @@ impl ChaosPlan {
         active
     }
 
-    /// Serializes the plan as a JSON object. Floats are written as
-    /// IEEE-754 bit patterns (with decimal duplicates for humans), so a
-    /// parsed plan replays bit-identically.
-    #[must_use]
-    pub fn render_json(&self, indent: &str) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "{indent}  \"seed\": {},", self.seed);
-        let _ = writeln!(
-            s,
-            "{indent}  \"horizon_ms\": {},",
-            fmt_f64(self.horizon_ms, 3)
-        );
-        let _ = writeln!(
-            s,
-            "{indent}  \"horizon_bits\": \"{}\",",
-            bits(self.horizon_ms)
-        );
-        let dims = [
+    /// The plan as a block object. Floats are written as IEEE-754 bit
+    /// patterns (with decimal duplicates for humans), so a parsed plan
+    /// replays bit-identically. External consumers round-trip plans
+    /// through [`ReproArtifact`].
+    pub(crate) fn to_value(&self) -> Json {
+        let dim = |rate: f64, factor: Option<f64>, window: Window| {
+            let mut members = vec![("rate", Json::fixed(rate, 6)), ("rate_bits", bits(rate))];
+            if let Some(f) = factor {
+                members.extend([("factor", Json::fixed(f, 6)), ("factor_bits", bits(f))]);
+            }
+            members.extend([
+                ("start_bits", bits(window.start_ms)),
+                ("end_bits", bits(window.end_ms)),
+            ]);
+            Json::row(members)
+        };
+        Json::block([
+            ("seed", Json::int(self.seed)),
+            ("horizon_ms", Json::fixed(self.horizon_ms, 3)),
+            ("horizon_bits", bits(self.horizon_ms)),
             (
                 "faults",
-                self.faults.rate,
-                Some(self.faults.factor),
-                self.faults.window,
+                dim(
+                    self.faults.rate,
+                    Some(self.faults.factor),
+                    self.faults.window,
+                ),
             ),
             (
                 "regulator",
-                self.regulator.rate,
-                None,
-                self.regulator.window,
+                dim(self.regulator.rate, None, self.regulator.window),
             ),
-            ("kills", self.kills.rate, None, self.kills.window),
+            ("kills", dim(self.kills.rate, None, self.kills.window)),
             (
                 "mode_churn",
-                self.mode_churn.rate,
-                None,
-                self.mode_churn.window,
+                dim(self.mode_churn.rate, None, self.mode_churn.window),
             ),
-            ("flood", self.flood.rate, None, self.flood.window),
-            ("clock", self.clock.rate, None, self.clock.window),
-        ];
-        for (i, (name, rate, factor, window)) in dims.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{indent}  \"{name}\": {{\"rate\": {}, \"rate_bits\": \"{}\", ",
-                fmt_f64(*rate, 6),
-                bits(*rate)
-            );
-            if let Some(f) = factor {
-                let _ = write!(
-                    s,
-                    "\"factor\": {}, \"factor_bits\": \"{}\", ",
-                    fmt_f64(*f, 6),
-                    bits(*f)
-                );
-            }
-            let _ = writeln!(
-                s,
-                "\"start_bits\": \"{}\", \"end_bits\": \"{}\"}}{}",
-                bits(window.start_ms),
-                bits(window.end_ms),
-                if i + 1 < dims.len() { "," } else { "" }
-            );
-        }
-        let _ = write!(s, "{indent}}}");
-        s
+            ("flood", dim(self.flood.rate, None, self.flood.window)),
+            ("clock", dim(self.clock.rate, None, self.clock.window)),
+        ])
     }
 
-    /// Parses a plan back from its JSON object (bit-pattern fields only;
-    /// the decimal duplicates are ignored). Crate-internal: external
-    /// consumers round-trip plans through [`ReproArtifact`].
-    pub(crate) fn from_json(value: &Json) -> Result<ChaosPlan, ArtifactError> {
+    /// Reads a plan back from [`ChaosPlan::to_value`]'s object
+    /// (bit-pattern fields only; the decimal duplicates are ignored).
+    pub(crate) fn from_value(value: &Json) -> Result<ChaosPlan, ArtifactError> {
         let window = |dim: &Json| -> Result<Window, ArtifactError> {
             Ok(Window {
                 start_ms: bits_field(dim, "start_bits")?,
@@ -374,12 +340,12 @@ impl ChaosPlan {
         // Plans serialized before the clock dimension existed omit the
         // key; read them as "clock faults off" so old repros stay
         // replayable.
-        let clock = match value.get("clock") {
-            Ok(dim) => ClockDim {
+        let clock = match value.find("clock") {
+            Some(dim) => ClockDim {
                 rate: bits_field(dim, "rate_bits")?,
                 window: window(dim)?,
             },
-            Err(_) => ClockDim {
+            None => ClockDim {
                 rate: 0.0,
                 window: Window::full(),
             },
@@ -413,8 +379,9 @@ impl ChaosPlan {
     }
 }
 
-fn bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// An `f64` as its IEEE-754 bit pattern, 16 hex digits.
+fn bits(v: f64) -> Json {
+    Json::Str(format!("{:016x}", v.to_bits()))
 }
 
 fn bits_field(value: &Json, key: &str) -> Result<f64, ArtifactError> {
@@ -422,12 +389,6 @@ fn bits_field(value: &Json, key: &str) -> Result<f64, ArtifactError> {
     let raw = u64::from_str_radix(s, 16)
         .map_err(|e| ArtifactError(format!("{key}: bad bit pattern {s:?}: {e}")))?;
     Ok(f64::from_bits(raw))
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 // ---------------------------------------------------------------------------
@@ -1115,106 +1076,65 @@ pub struct CampaignArtifact {
     pub wall_ms: u64,
 }
 
-impl CampaignArtifact {
-    /// Serializes the artifact, provenance included.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.render(false)
+impl Artifact for CampaignArtifact {
+    const SCHEMA: &'static str = "rtdvs-campaign/v1";
+
+    /// The canonical form zeroes `wall_ms`.
+    fn to_value(&self, canonical: bool) -> Json {
+        let cell = |c: &CampaignCell| {
+            Json::row([
+                ("policy", Json::str(&c.policy)),
+                ("blamed_misses", Json::int(c.blamed_misses)),
+                ("excused_misses", Json::int(c.excused_misses)),
+                ("audit_findings", Json::int(c.audit_findings)),
+                ("kills", Json::int(c.kills)),
+                ("restores", Json::int(c.restores)),
+                ("churn_commits", Json::int(c.churn_commits)),
+                ("clock_events", Json::int(c.clock_events)),
+                ("compliant_offered", Json::int(c.compliant_offered)),
+                ("flood_offered", Json::int(c.flood_offered)),
+                ("served", Json::int(c.served)),
+                ("energy", Json::fixed(c.energy, 9)),
+                ("availability", Json::fixed(c.availability, 6)),
+                ("nominal_ms", Json::fixed(c.nominal_ms, 3)),
+                ("degraded_ms", Json::fixed(c.degraded_ms, 3)),
+                ("mttf_ms", Json::fixed(c.mttf_ms, 3)),
+                ("mttr_ms", Json::fixed(c.mttr_ms, 3)),
+                ("worst_recovery_ms", Json::fixed(c.worst_recovery_ms, 3)),
+                (
+                    "rung_ms",
+                    Json::list(c.rung_ms.iter().map(|&r| Json::fixed(r, 3))),
+                ),
+            ])
+        };
+        Json::block([
+            ("schema", Json::str(Self::SCHEMA)),
+            ("seed", Json::int(self.seed)),
+            ("horizon_ms", Json::fixed(self.horizon_ms, 3)),
+            (
+                "dimensions",
+                Json::list(self.dimensions.iter().map(Json::str)),
+            ),
+            ("max_recovery_ms", Json::fixed(self.max_recovery_ms, 3)),
+            ("min_availability", Json::fixed(self.min_availability, 4)),
+            ("cells", Json::list(self.cells.iter().map(cell))),
+            (
+                "wall_ms",
+                Json::int(if canonical { 0 } else { self.wall_ms }),
+            ),
+        ])
     }
 
-    /// Serializes the machine-independent payload (`wall_ms` zeroed);
-    /// gate comparisons diff this form byte-for-byte.
-    #[must_use]
-    pub fn canonical_json(&self) -> String {
-        self.render(true)
-    }
-
-    fn render(&self, canonical: bool) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{\n  \"schema\": \"{CAMPAIGN_SCHEMA}\",");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"horizon_ms\": {},", fmt_f64(self.horizon_ms, 3));
-        let dims: Vec<String> = self.dimensions.iter().map(|d| format!("\"{d}\"")).collect();
-        let _ = writeln!(s, "  \"dimensions\": [{}],", dims.join(", "));
-        let _ = writeln!(
-            s,
-            "  \"max_recovery_ms\": {},",
-            fmt_f64(self.max_recovery_ms, 3)
-        );
-        let _ = writeln!(
-            s,
-            "  \"min_availability\": {},",
-            fmt_f64(self.min_availability, 4)
-        );
-        let _ = writeln!(s, "  \"cells\": [");
-        for (i, c) in self.cells.iter().enumerate() {
-            let rungs: Vec<String> = c.rung_ms.iter().map(|r| fmt_f64(*r, 3)).collect();
-            let _ = writeln!(
-                s,
-                "    {{\"policy\": \"{}\", \"blamed_misses\": {}, \"excused_misses\": {}, \
-                 \"audit_findings\": {}, \"kills\": {}, \"restores\": {}, \
-                 \"churn_commits\": {}, \"clock_events\": {}, \"compliant_offered\": {}, \
-                 \"flood_offered\": {}, \
-                 \"served\": {}, \"energy\": {}, \"availability\": {}, \"nominal_ms\": {}, \
-                 \"degraded_ms\": {}, \"mttf_ms\": {}, \"mttr_ms\": {}, \
-                 \"worst_recovery_ms\": {}, \"rung_ms\": [{}]}}{}",
-                c.policy,
-                c.blamed_misses,
-                c.excused_misses,
-                c.audit_findings,
-                c.kills,
-                c.restores,
-                c.churn_commits,
-                c.clock_events,
-                c.compliant_offered,
-                c.flood_offered,
-                c.served,
-                fmt_f64(c.energy, 9),
-                fmt_f64(c.availability, 6),
-                fmt_f64(c.nominal_ms, 3),
-                fmt_f64(c.degraded_ms, 3),
-                fmt_f64(c.mttf_ms, 3),
-                fmt_f64(c.mttr_ms, 3),
-                fmt_f64(c.worst_recovery_ms, 3),
-                rungs.join(", "),
-                if i + 1 < self.cells.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(
-            s,
-            "  \"wall_ms\": {}\n}}",
-            if canonical { 0 } else { self.wall_ms }
-        );
-        s
-    }
-
-    /// Parses an artifact back from its JSON form (unknown keys are
-    /// ignored, as in the other artifact readers).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural problem: malformed JSON, wrong
-    /// schema identifier, or a missing/ill-typed field.
-    pub fn from_json(text: &str) -> Result<CampaignArtifact, ArtifactError> {
-        let value = Json::parse(text)?;
-        let schema = value.get("schema")?.as_str()?;
-        if schema != CAMPAIGN_SCHEMA {
-            return Err(ArtifactError(format!(
-                "schema mismatch: artifact says {schema:?}, reader speaks {CAMPAIGN_SCHEMA:?}"
-            )));
-        }
-        let dimensions = value
-            .get("dimensions")?
-            .as_array()?
-            .iter()
-            .map(|d| Ok(d.as_str()?.to_owned()))
-            .collect::<Result<Vec<_>, ArtifactError>>()?;
-        let cells = value
-            .get("cells")?
-            .as_array()?
-            .iter()
-            .map(|c| {
+    fn from_value(value: &Json) -> Result<CampaignArtifact, ArtifactError> {
+        Ok(CampaignArtifact {
+            seed: value.get("seed")?.as_u64()?,
+            horizon_ms: value.get("horizon_ms")?.as_f64()?,
+            dimensions: value
+                .get("dimensions")?
+                .map_items(|d| Ok(d.as_str()?.to_owned()))?,
+            max_recovery_ms: value.get("max_recovery_ms")?.as_f64()?,
+            min_availability: value.get("min_availability")?.as_f64()?,
+            cells: value.get("cells")?.map_items(|c| {
                 Ok(CampaignCell {
                     policy: c.get("policy")?.as_str()?.to_owned(),
                     blamed_misses: c.get("blamed_misses")?.as_u64()?,
@@ -1223,7 +1143,7 @@ impl CampaignArtifact {
                     kills: c.get("kills")?.as_u64()?,
                     restores: c.get("restores")?.as_u64()?,
                     churn_commits: c.get("churn_commits")?.as_u64()?,
-                    clock_events: c.get("clock_events").map_or(Ok(0), |v| v.as_u64())?,
+                    clock_events: c.find("clock_events").map_or(Ok(0), Json::as_u64)?,
                     compliant_offered: c.get("compliant_offered")?.as_u64()?,
                     flood_offered: c.get("flood_offered")?.as_u64()?,
                     served: c.get("served")?.as_u64()?,
@@ -1234,30 +1154,16 @@ impl CampaignArtifact {
                     mttf_ms: c.get("mttf_ms")?.as_f64()?,
                     mttr_ms: c.get("mttr_ms")?.as_f64()?,
                     worst_recovery_ms: c.get("worst_recovery_ms")?.as_f64()?,
-                    rung_ms: c
-                        .get("rung_ms")?
-                        .as_array()?
-                        .iter()
-                        .map(Json::as_f64)
-                        .collect::<Result<Vec<_>, _>>()?,
+                    rung_ms: c.get("rung_ms")?.map_items(Json::as_f64)?,
                 })
-            })
-            .collect::<Result<Vec<_>, ArtifactError>>()?;
-        Ok(CampaignArtifact {
-            seed: value.get("seed")?.as_u64()?,
-            horizon_ms: value.get("horizon_ms")?.as_f64()?,
-            dimensions,
-            max_recovery_ms: value.get("max_recovery_ms")?.as_f64()?,
-            min_availability: value.get("min_availability")?.as_f64()?,
-            cells,
+            })?,
             wall_ms: value.get("wall_ms")?.as_u64()?,
         })
     }
 
     /// The invariants any passing campaign obeys. Non-empty means the
     /// composed system broke a promise.
-    #[must_use]
-    pub fn validate(&self) -> Vec<String> {
+    fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         if self.cells.is_empty() {
             problems.push("no cells in the artifact".to_owned());
@@ -1310,9 +1216,8 @@ impl CampaignArtifact {
             }
             if c.availability < self.min_availability {
                 problems.push(format!(
-                    "{who}: availability {} below the floor {}",
-                    fmt_f64(c.availability, 6),
-                    fmt_f64(self.min_availability, 4)
+                    "{who}: availability {:.6} below the floor {:.4}",
+                    c.availability, self.min_availability
                 ));
             }
             if c.rung_ms.is_empty() {
@@ -1321,46 +1226,6 @@ impl CampaignArtifact {
         }
         problems
     }
-}
-
-/// Differences in the canonical payload between a golden and a fresh
-/// artifact. Empty means byte-identical (modulo `wall_ms`).
-#[must_use]
-pub fn compare_campaign(golden: &CampaignArtifact, fresh: &CampaignArtifact) -> Vec<String> {
-    let mut problems = Vec::new();
-    if golden.canonical_json() != fresh.canonical_json() {
-        if golden.seed != fresh.seed {
-            problems.push(format!("seed {} vs golden {}", fresh.seed, golden.seed));
-        }
-        if golden.cells.len() != fresh.cells.len() {
-            problems.push(format!(
-                "{} cells vs golden {}",
-                fresh.cells.len(),
-                golden.cells.len()
-            ));
-        }
-        for (g, f) in golden.cells.iter().zip(&fresh.cells) {
-            if g != f {
-                problems.push(format!(
-                    "{}: kills {} restores {} served {} availability {} vs golden kills {} \
-                     restores {} served {} availability {}",
-                    f.policy,
-                    f.kills,
-                    f.restores,
-                    f.served,
-                    fmt_f64(f.availability, 6),
-                    g.kills,
-                    g.restores,
-                    g.served,
-                    fmt_f64(g.availability, 6)
-                ));
-            }
-        }
-        if problems.is_empty() {
-            problems.push("canonical payloads differ".to_owned());
-        }
-    }
-    problems
 }
 
 /// Runs the full campaign — every policy against the same materialized
@@ -1453,73 +1318,61 @@ pub struct ReproArtifact {
     pub violation: ReproViolation,
 }
 
-impl ReproArtifact {
-    /// Serializes the repro artifact.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{\n  \"schema\": \"{REPRO_SCHEMA}\",");
-        let _ = writeln!(s, "  \"policy\": \"{}\",", self.policy);
-        let _ = writeln!(
-            s,
-            "  \"max_recovery_ms\": {},",
-            fmt_f64(self.max_recovery_ms, 3)
-        );
-        let _ = writeln!(
-            s,
-            "  \"max_recovery_bits\": \"{}\",",
-            bits(self.max_recovery_ms)
-        );
-        let _ = writeln!(
-            s,
-            "  \"min_availability\": {},",
-            fmt_f64(self.min_availability, 4)
-        );
-        let _ = writeln!(
-            s,
-            "  \"min_availability_bits\": \"{}\",",
-            bits(self.min_availability)
-        );
-        let _ = writeln!(s, "  \"plan\": {},", self.plan.render_json("  "));
-        let _ = writeln!(
-            s,
-            "  \"violation\": {{\"rule\": \"{}\", \"time_ms\": {}, \"time_bits\": \"{}\", \
-             \"details\": \"{}\"}}",
-            self.violation.rule,
-            fmt_f64(self.violation.time_ms, 6),
-            bits(self.violation.time_ms),
-            json_escape(&self.violation.details)
-        );
-        let _ = writeln!(s, "}}");
-        s
+impl Artifact for ReproArtifact {
+    const SCHEMA: &'static str = "rtdvs-repro/v1";
+
+    /// A repro carries no provenance: both forms are the same.
+    fn to_value(&self, _canonical: bool) -> Json {
+        let v = &self.violation;
+        Json::block([
+            ("schema", Json::str(Self::SCHEMA)),
+            ("policy", Json::str(&self.policy)),
+            ("max_recovery_ms", Json::fixed(self.max_recovery_ms, 3)),
+            ("max_recovery_bits", bits(self.max_recovery_ms)),
+            ("min_availability", Json::fixed(self.min_availability, 4)),
+            ("min_availability_bits", bits(self.min_availability)),
+            ("plan", self.plan.to_value()),
+            (
+                "violation",
+                Json::row([
+                    ("rule", Json::str(&v.rule)),
+                    ("time_ms", Json::fixed(v.time_ms, 6)),
+                    ("time_bits", bits(v.time_ms)),
+                    ("details", Json::str(&v.details)),
+                ]),
+            ),
+        ])
     }
 
-    /// Parses a repro artifact back from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural problem: malformed JSON, wrong
-    /// schema identifier, or a missing/ill-typed field.
-    pub fn from_json(text: &str) -> Result<ReproArtifact, ArtifactError> {
-        let value = Json::parse(text)?;
-        let schema = value.get("schema")?.as_str()?;
-        if schema != REPRO_SCHEMA {
-            return Err(ArtifactError(format!(
-                "schema mismatch: artifact says {schema:?}, reader speaks {REPRO_SCHEMA:?}"
-            )));
-        }
+    fn from_value(value: &Json) -> Result<ReproArtifact, ArtifactError> {
         let violation = value.get("violation")?;
         Ok(ReproArtifact {
             policy: value.get("policy")?.as_str()?.to_owned(),
-            max_recovery_ms: bits_field(&value, "max_recovery_bits")?,
-            min_availability: bits_field(&value, "min_availability_bits")?,
-            plan: ChaosPlan::from_json(value.get("plan")?)?,
+            max_recovery_ms: bits_field(value, "max_recovery_bits")?,
+            min_availability: bits_field(value, "min_availability_bits")?,
+            plan: ChaosPlan::from_value(value.get("plan")?)?,
             violation: ReproViolation {
                 rule: violation.get("rule")?.as_str()?.to_owned(),
                 time_ms: bits_field(violation, "time_bits")?,
                 details: violation.get("details")?.as_str()?.to_owned(),
             },
         })
+    }
+
+    /// A replayable repro names a campaign policy and a rule, over a
+    /// positive horizon. Whether it reproduces is [`replay_repro`]'s job.
+    fn validate(&self) -> Vec<String> {
+        let mut problems = Vec::new();
+        if policy_by_name(&self.policy).is_none() {
+            problems.push(format!("unknown policy {:?}", self.policy));
+        }
+        if self.violation.rule.is_empty() {
+            problems.push("the pinned violation names no rule".to_owned());
+        }
+        if self.plan.horizon_ms <= 0.0 || self.plan.horizon_ms.is_nan() {
+            problems.push(format!("non-positive horizon {}", self.plan.horizon_ms));
+        }
+        problems
     }
 }
 
@@ -1695,19 +1548,12 @@ pub fn replay_repro(repro: &ReproArtifact) -> Result<(), String> {
     }
     let got: Vec<String> = fresh
         .iter()
-        .map(|v| {
-            format!(
-                "[{}] t={} ms: {}",
-                v.rule,
-                fmt_f64(v.time.as_ms(), 6),
-                v.details
-            )
-        })
+        .map(|v| format!("[{}] t={:.6} ms: {}", v.rule, v.time.as_ms(), v.details))
         .collect();
     Err(format!(
-        "repro did not reproduce: expected [{}] at {} ms ({}); replay produced {} finding(s){}{}",
+        "repro did not reproduce: expected [{}] at {:.6} ms ({}); replay produced {} finding(s){}{}",
         repro.violation.rule,
-        fmt_f64(repro.violation.time_ms, 6),
+        repro.violation.time_ms,
         repro.violation.details,
         fresh.len(),
         if got.is_empty() { "" } else { ":\n  " },
@@ -1838,14 +1684,14 @@ mod tests {
     fn plan_json_round_trips_bit_exactly() {
         let mut p = plan(0xDEAD);
         p.faults.rate = 0.05 / 8.0; // a value decimal text would mangle
-        let text = p.render_json("");
-        let back = ChaosPlan::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = p.to_value().render();
+        let back = ChaosPlan::from_value(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(p, back);
         assert_eq!(p.faults.rate.to_bits(), back.faults.rate.to_bits());
     }
 
     #[test]
-    fn repro_artifact_round_trips() {
+    fn repro_artifact_round_trips_and_validates() {
         let (kind, p, avail) = known_violating_campaign(3);
         let repro = ReproArtifact {
             policy: kind.name().to_owned(),
@@ -1860,6 +1706,11 @@ mod tests {
         };
         let back = ReproArtifact::from_json(&repro.to_json()).unwrap();
         assert_eq!(repro, back);
+        assert!(repro.validate().is_empty(), "{:?}", repro.validate());
+        let mut broken = repro;
+        broken.policy = "nonesuch".to_owned();
+        broken.plan.horizon_ms = 0.0;
+        assert_eq!(broken.validate().len(), 2);
     }
 
     #[test]

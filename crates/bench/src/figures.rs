@@ -132,11 +132,10 @@ pub fn paper_figures_artifact(
     }
 }
 
-/// The reduced grid behind `BENCH_sweep.json` and the CI bench-smoke
-/// stage: 2 utilizations × 6 policies × 2 task sets on the paper's
-/// standard 8-task workload. Small enough to re-run on every push, wide
-/// enough that an energy-model or policy regression moves some point by
-/// more than the comparator's tolerance.
+/// The reduced grid behind `BENCH_sweep.json` and its golden gate:
+/// 2 utilizations × 6 policies × 2 task sets on the paper's standard
+/// 8-task workload. Small enough to re-run on every push, wide enough
+/// that an energy-model or policy regression moves some point.
 #[must_use]
 pub fn smoke_sweep_config(seed: u64) -> SweepConfig {
     let mut cfg = SweepConfig::paper_default(8);

@@ -520,6 +520,7 @@ fn kernel_outcome(kernel: &RtKernel, excuses: fn(&KernelEvent) -> bool) -> Outco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::Artifact;
 
     /// The seed each soak's small grid runs at.
     const TINY_SEEDS: [(&str, u64); 4] = [

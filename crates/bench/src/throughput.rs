@@ -41,7 +41,6 @@
 //! events/s and ratios are provenance — recorded by `--write`, zeroed in
 //! the canonical form the gate diffs.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use rtdvs_core::example::{table2_task_set, table3_actual_times, EXAMPLE_HORIZON_MS};
@@ -51,10 +50,7 @@ use rtdvs_sim::baseline::simulate_baseline;
 use rtdvs_sim::{simulate, ExecModel, SimConfig, SimReport};
 use rtdvs_taskgen::{generate, TaskGenSpec};
 
-use crate::artifact::{fmt_f64, ArtifactError, Json};
-
-/// Schema identifier of the throughput golden.
-pub const THROUGHPUT_SCHEMA: &str = "rtdvs-throughput/v1";
+use crate::artifact::{Artifact, ArtifactError, Json};
 
 /// Shape of the throughput soak.
 #[derive(Debug, Clone)]
@@ -132,99 +128,59 @@ pub struct ThroughputArtifact {
     pub wall_ms: u64,
 }
 
-impl ThroughputArtifact {
-    /// Serializes the artifact, measurements included.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.render(false)
-    }
+impl Artifact for ThroughputArtifact {
+    const SCHEMA: &'static str = "rtdvs-throughput/v1";
 
-    /// Serializes the machine-independent payload only: wall clock,
-    /// events/s, and ratios are zeroed. Gate comparisons diff this form.
-    #[must_use]
-    pub fn canonical_json(&self) -> String {
-        self.render(true)
-    }
-
-    fn render(&self, canonical: bool) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{\n  \"schema\": \"{THROUGHPUT_SCHEMA}\",");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"soak_tasks\": {},", self.soak_tasks);
-        let _ = writeln!(s, "  \"floor_ratio\": {},", fmt_f64(self.floor_ratio, 2));
-        let _ = writeln!(
-            s,
-            "  \"table2_floor_ratio\": {},",
-            fmt_f64(self.table2_floor_ratio, 2)
-        );
-        for (name, panel) in [("table2", &self.table2), ("soak", &self.soak)] {
-            let _ = writeln!(s, "  \"{name}\": [");
-            for (i, p) in panel.iter().enumerate() {
+    /// The canonical form keeps the machine-independent payload only:
+    /// wall clock, events/s and ratios are zeroed.
+    fn to_value(&self, canonical: bool) -> Json {
+        let panel = |rows: &[PolicyThroughput]| {
+            Json::list(rows.iter().map(|p| {
                 let (eng, base, ratio) = if canonical {
                     (0.0, 0.0, 0.0)
                 } else {
                     (p.engine_eps, p.baseline_eps, p.ratio)
                 };
-                let _ = writeln!(
-                    s,
-                    "    {{\"policy\": \"{}\", \"events\": {}, \"floored\": {}, \
-                     \"engine_eps\": {}, \"baseline_eps\": {}, \"ratio\": {}}}{}",
-                    p.policy,
-                    p.events,
-                    p.floored,
-                    fmt_f64(eng, 0),
-                    fmt_f64(base, 0),
-                    fmt_f64(ratio, 2),
-                    if i + 1 < panel.len() { "," } else { "" }
-                );
-            }
-            let _ = writeln!(s, "  ],");
-        }
-        let _ = writeln!(
-            s,
-            "  \"wall_ms\": {}\n}}",
-            if canonical { 0 } else { self.wall_ms }
-        );
-        s
+                Json::row([
+                    ("policy", Json::str(&p.policy)),
+                    ("events", Json::int(p.events)),
+                    ("floored", Json::Bool(p.floored)),
+                    ("engine_eps", Json::fixed(eng, 0)),
+                    ("baseline_eps", Json::fixed(base, 0)),
+                    ("ratio", Json::fixed(ratio, 2)),
+                ])
+            }))
+        };
+        Json::block([
+            ("schema", Json::str(Self::SCHEMA)),
+            ("seed", Json::int(self.seed)),
+            ("soak_tasks", Json::int(self.soak_tasks)),
+            ("floor_ratio", Json::fixed(self.floor_ratio, 2)),
+            (
+                "table2_floor_ratio",
+                Json::fixed(self.table2_floor_ratio, 2),
+            ),
+            ("table2", panel(&self.table2)),
+            ("soak", panel(&self.soak)),
+            (
+                "wall_ms",
+                Json::int(if canonical { 0 } else { self.wall_ms }),
+            ),
+        ])
     }
 
-    /// Parses an artifact back from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural problem: malformed JSON, wrong schema
-    /// identifier, or a missing/ill-typed field.
-    pub fn from_json(text: &str) -> Result<ThroughputArtifact, ArtifactError> {
-        let value = Json::parse(text)?;
-        let schema = value.get("schema")?.as_str()?;
-        if schema != THROUGHPUT_SCHEMA {
-            return Err(ArtifactError(format!(
-                "schema mismatch: artifact says {schema:?}, reader speaks {THROUGHPUT_SCHEMA:?}"
-            )));
-        }
-        let panel = |key: &str| -> Result<Vec<PolicyThroughput>, ArtifactError> {
-            value
-                .get(key)?
-                .as_array()?
-                .iter()
-                .map(|p| {
-                    Ok(PolicyThroughput {
-                        policy: p.get("policy")?.as_str()?.to_owned(),
-                        events: p.get("events")?.as_u64()?,
-                        floored: match p.get("floored")? {
-                            Json::Bool(b) => *b,
-                            other => {
-                                return Err(ArtifactError(format!(
-                                    "expected bool for \"floored\", found {other:?}"
-                                )))
-                            }
-                        },
-                        engine_eps: p.get("engine_eps")?.as_f64()?,
-                        baseline_eps: p.get("baseline_eps")?.as_f64()?,
-                        ratio: p.get("ratio")?.as_f64()?,
-                    })
+    fn from_value(value: &Json) -> Result<ThroughputArtifact, ArtifactError> {
+        let panel = |key: &str| {
+            value.get(key)?.map_items(|p| {
+                Ok(PolicyThroughput {
+                    policy: p.get("policy")?.as_str()?.to_owned(),
+                    events: p.get("events")?.as_u64()?,
+                    floored: p.get("floored")?.as_bool()?,
+                    engine_eps: p.get("engine_eps")?.as_f64()?,
+                    baseline_eps: p.get("baseline_eps")?.as_f64()?,
+                    ratio: p.get("ratio")?.as_f64()?,
                 })
-                .collect()
+            })
         };
         Ok(ThroughputArtifact {
             seed: value.get("seed")?.as_u64()?,
@@ -238,8 +194,7 @@ impl ThroughputArtifact {
     }
 
     /// Structural invariants any well-formed throughput artifact obeys.
-    #[must_use]
-    pub fn validate(&self) -> Vec<String> {
+    fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         if self.floor_ratio <= 1.0 {
             problems.push(format!(
@@ -275,50 +230,6 @@ impl ThroughputArtifact {
         }
         problems
     }
-}
-
-/// Differences in the machine-independent payload between a golden and a
-/// fresh artifact (event counts, shapes, floors). Empty means identical.
-#[must_use]
-pub fn compare_throughput(golden: &ThroughputArtifact, fresh: &ThroughputArtifact) -> Vec<String> {
-    let mut problems = Vec::new();
-    if golden.canonical_json() != fresh.canonical_json() {
-        // Localize the divergence for the error message.
-        if golden.seed != fresh.seed {
-            problems.push(format!("seed {} vs golden {}", fresh.seed, golden.seed));
-        }
-        if golden.soak_tasks != fresh.soak_tasks {
-            problems.push(format!(
-                "soak_tasks {} vs golden {}",
-                fresh.soak_tasks, golden.soak_tasks
-            ));
-        }
-        for (name, g, f) in [
-            ("table2", &golden.table2, &fresh.table2),
-            ("soak", &golden.soak, &fresh.soak),
-        ] {
-            if g.len() != f.len() {
-                problems.push(format!(
-                    "{name}: {} policies vs golden {}",
-                    f.len(),
-                    g.len()
-                ));
-                continue;
-            }
-            for (gp, fp) in g.iter().zip(f) {
-                if gp.policy != fp.policy || gp.events != fp.events || gp.floored != fp.floored {
-                    problems.push(format!(
-                        "{name}/{}: {} events (floored {}) vs golden {}/{} events (floored {})",
-                        fp.policy, fp.events, fp.floored, gp.policy, gp.events, gp.floored
-                    ));
-                }
-            }
-        }
-        if problems.is_empty() {
-            problems.push("canonical payloads differ".to_owned());
-        }
-    }
-    problems
 }
 
 /// The paper's Table 2 set with the Table 3 execution trace, the trace
@@ -524,20 +435,9 @@ mod tests {
     }
 
     #[test]
-    fn artifact_roundtrips_through_json() {
-        let art = run_throughput(&tiny_config());
-        let parsed = ThroughputArtifact::from_json(&art.to_json()).expect("roundtrip");
-        // Measurements are rounded on the way out, so compare the
-        // serialized forms (idempotent) and the pinned payload.
-        assert_eq!(parsed.to_json(), art.to_json());
-        assert_eq!(parsed.canonical_json(), art.canonical_json());
-        assert!(art.validate().is_empty(), "{:?}", art.validate());
-        assert!(compare_throughput(&art, &parsed).is_empty());
-    }
-
-    #[test]
     fn canonical_json_hides_measurements() {
         let art = run_throughput(&tiny_config());
+        assert!(art.validate().is_empty(), "{:?}", art.validate());
         let canon = art.canonical_json();
         assert!(canon.contains("\"engine_eps\": 0,"));
         assert!(canon.contains("\"wall_ms\": 0"));
@@ -558,29 +458,11 @@ mod tests {
     }
 
     #[test]
-    fn compare_flags_event_count_drift() {
-        let art = run_throughput(&tiny_config());
-        let mut other = art.clone();
-        if let Some(p) = other.soak.first_mut() {
-            p.events += 1;
-        }
-        let problems = compare_throughput(&art, &other);
-        assert!(!problems.is_empty(), "event drift must be reported");
-    }
-
-    #[test]
     fn floor_violations_fire_on_slow_ratios() {
         let mut art = run_throughput(&tiny_config());
         for p in &mut art.soak {
             p.ratio = 0.1;
         }
         assert!(!floor_violations(&art).is_empty());
-    }
-
-    #[test]
-    fn schema_mismatch_is_rejected() {
-        let art = run_throughput(&tiny_config());
-        let bad = art.to_json().replace(THROUGHPUT_SCHEMA, "rtdvs-bench/v1");
-        assert!(ThroughputArtifact::from_json(&bad).is_err());
     }
 }

@@ -6,7 +6,7 @@
 //! and fresh `Vec` allocations for the ready queue, the due-event sets,
 //! and every policy notification. It exists for two reasons:
 //!
-//! 1. **Trace pinning.** The throughput gate (`xtask throughput`) runs
+//! 1. **Trace pinning.** The throughput gate (`figures throughput`) runs
 //!    both engines on the Table 2 set and requires byte-identical
 //!    reports and traces, proving the rewrite is observationally pure
 //!    speed.

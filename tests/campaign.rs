@@ -11,7 +11,7 @@
 
 use rtdvs_bench::{
     campaign_smoke_config, known_violating_campaign, materialize, replay_repro, shrink_plan,
-    ChaosPlan, ReproArtifact,
+    Artifact, ChaosPlan, ReproArtifact,
 };
 
 /// Sets one dimension's rate to zero, by canonical index.

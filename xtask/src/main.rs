@@ -1,57 +1,31 @@
 //! Workspace tooling.
 //!
-//! Three subcommands:
+//! Subcommands:
 //!
 //! * `cargo run -p xtask -- ci` — the full local gate: fmt, clippy,
-//!   `lint`, release build, workspace tests, examples, and `bench-check`,
-//!   each stage wall-clock-timed with a summary table at the end. `ci.sh`
-//!   and the GitHub Actions workflow both delegate here, so the shell
-//!   script and the hosted pipeline cannot drift. `--skip a,b` skips
-//!   stages by name (unknown names are hard errors); `--json PATH`
-//!   additionally writes the per-stage timing table as
-//!   `xtask-ci-times/v1` JSON, which every CI job uploads as an
-//!   artifact.
-//! * `cargo run -p xtask -- bench-check` — the quantitative regression
-//!   gate: delegates to `figures check` (crates/bench), which re-runs the
-//!   reduced sweep grid and diffs it against the committed
-//!   `BENCH_sweep.json` within ±1% energy, and structurally validates
-//!   `BENCH_paper_figures.json`.
-//! * `cargo run -p xtask -- soaks` — the seeded-soak gate: delegates to
-//!   `figures soaks`, which runs every soak registered in
-//!   `rtdvs_bench::soak::SOAKS` in one process — simulator fault
-//!   injection (`BENCH_faults.json`), transactional mode churn
-//!   (`BENCH_modes.json`), an unreliable regulator with brownout caps
-//!   (`BENCH_regulator.json`), and clock faults (`BENCH_clock.json`) —
-//!   asserts nothing is ever blamed on a policy and that each rate-0
-//!   column is bit-exact, and diffs each canonical payload byte-for-byte
-//!   against its committed golden. `figures <soak> [--write]` runs (or
-//!   regenerates) one of them.
-//! * `cargo run -p xtask -- throughput` — the scheduler hot-path gate:
-//!   delegates to `figures throughput`, which pins the Table 2 traces
-//!   byte-identically against the frozen pre-refactor engine, re-measures
-//!   events/s for both engines on a 128-task soak, diffs the
-//!   machine-independent payload against the committed
-//!   `BENCH_throughput.json`, and enforces the ≥5x events/s ratio floor
-//!   on the engine-dominated policies (a ratio against an in-process
-//!   reference run, never wall-clock, so it cannot flake on slow
-//!   runners).
-//! * `cargo run -p xtask -- tenants` — the tenant-isolation gate:
-//!   delegates to `figures tenants`, which re-runs the seeded two-pass
-//!   multi-tenant soak (one tenant flooding at 10x its quota next to
-//!   five compliant tenants and the hard-RT periodic set under
-//!   fault-injected overruns), asserts zero periodic deadline misses,
-//!   zero quota theft from compliant tenants, and compliant p99 response
-//!   latency within 5% of the flood-free run, and diffs the result
-//!   against the committed `BENCH_tenants.json`.
-//! * `cargo run -p xtask -- campaign` — the composed-chaos gate:
-//!   delegates to `figures campaign`, which re-runs the unified chaos
-//!   campaign (WCET overruns, unreliable regulator with brownout caps,
-//!   crash/restore kills, transactional mode churn, and a flooding
-//!   tenant — all derived from one root seed with phased adversity
-//!   windows) across all six paper policies, enforces the campaign
-//!   invariants (no policy-blamed miss, no audit finding including the
-//!   availability rules, every kill restored), and diffs the canonical
-//!   payload byte-for-byte against the committed `BENCH_campaign.json`.
+//!   `lint`, `analyze`, release build, workspace tests, the recovery
+//!   smoke, examples, and `goldens` — nine stages, each
+//!   wall-clock-timed with a summary table at the end. `ci.sh` and the
+//!   GitHub Actions workflow both delegate here, so the shell script and
+//!   the hosted pipeline cannot drift. `--skip a,b` skips stages by name
+//!   (unknown names are hard errors); `--json PATH` additionally writes
+//!   the per-stage timing table as `xtask-ci-times/v1` JSON, which every
+//!   CI job uploads as an artifact.
+//! * `cargo run -p xtask -- goldens` — the artifact gate: delegates to
+//!   `figures goldens` (crates/bench), which re-runs every committed
+//!   `BENCH_*.json` experiment at its golden's seed in one process and
+//!   diffs each canonical payload byte for byte against the golden,
+//!   naming every differing JSON path. The goldens are Figures 6–8
+//!   (`BENCH_paper_figures.json`), the smoke sweep (`BENCH_sweep.json`),
+//!   the four seeded soaks (`BENCH_faults/modes/regulator/clock.json`:
+//!   nothing blamed on a policy, rate-0 columns bit-exact), scheduler
+//!   throughput (`BENCH_throughput.json`: Table 2 traces byte-identical
+//!   to the frozen engine, ≥5x events/s ratio floors against an
+//!   in-process reference run, never wall-clock), tenant isolation
+//!   (`BENCH_tenants.json`) and the composed chaos campaign
+//!   (`BENCH_campaign.json`). Each fresh artifact must also pass its
+//!   `validate()` invariants. Extra arguments are forwarded
+//!   (`--golden-dir DIR`, `--write`); `figures <gate>` runs one gate.
 //! * `cargo run -p xtask -- repro [FILE]` — replays a minimized chaos
 //!   repro (`rtdvs-repro/v1`, default
 //!   `results/repro_availability_floor.json`) via `figures repro` and
@@ -150,7 +124,7 @@ fn main() -> ExitCode {
         ("lint", _) => lint(),
         ("analyze", _) => analyze(&args[1..]),
         ("ci", _) => ci(&args[1..]),
-        (_, Some(gate)) => figures_gate(gate.command, &args[1..]),
+        (_, Some(gate)) => figures_gate(gate.name, &args[1..]),
         _ => {
             let gates: Vec<&str> = FIGURES_GATES.iter().map(|g| g.name).collect();
             eprintln!(
@@ -162,46 +136,24 @@ fn main() -> ExitCode {
     }
 }
 
-/// A subcommand that delegates to a `figures` gate in `rtdvs-bench`.
+/// A subcommand that delegates to the `figures` command of the same
+/// name in `rtdvs-bench`.
 struct FiguresGate {
-    /// The xtask subcommand (and, when `in_ci`, the `ci` stage name).
+    /// The xtask and `figures` subcommand (and, when `in_ci`, the `ci`
+    /// stage name).
     name: &'static str,
-    /// The `figures` subcommand it runs.
-    command: &'static str,
     /// Whether `ci` runs it as a stage, after the cargo stages.
     in_ci: bool,
 }
 
 /// Every figures-delegating subcommand, in `ci` stage order.
-const FIGURES_GATES: [FiguresGate; 6] = [
+const FIGURES_GATES: [FiguresGate; 2] = [
     FiguresGate {
-        name: "bench-check",
-        command: "check",
-        in_ci: true,
-    },
-    FiguresGate {
-        name: "soaks",
-        command: "soaks",
-        in_ci: true,
-    },
-    FiguresGate {
-        name: "throughput",
-        command: "throughput",
-        in_ci: true,
-    },
-    FiguresGate {
-        name: "tenants",
-        command: "tenants",
-        in_ci: true,
-    },
-    FiguresGate {
-        name: "campaign",
-        command: "campaign",
+        name: "goldens",
         in_ci: true,
     },
     FiguresGate {
         name: "repro",
-        command: "repro",
         in_ci: false,
     },
 ];
@@ -275,7 +227,7 @@ const CARGO_STAGES: [Stage; 8] = [
 fn stages() -> Vec<Stage> {
     let gates = FIGURES_GATES.iter().filter(|g| g.in_ci).map(|g| Stage {
         name: g.name,
-        run: Run::Figures(g.command),
+        run: Run::Figures(g.name),
     });
     CARGO_STAGES.into_iter().chain(gates).collect()
 }
@@ -405,9 +357,9 @@ fn stage_times_json(results: &[(&str, &str, f64)], total_secs: f64, failed: bool
     s
 }
 
-/// Delegates to an artifact gate in `rtdvs-bench` (`figures check`,
-/// `figures soaks`, ...), forwarding any extra arguments (e.g.
-/// `--tolerance 0.02` or `--golden-dir some/dir`).
+/// Delegates to a `figures` command in `rtdvs-bench` (`figures goldens`,
+/// `figures repro`), forwarding any extra arguments (e.g.
+/// `--golden-dir some/dir`).
 fn figures_gate(command: &str, args: &[String]) -> ExitCode {
     let figures = [
         "run",
