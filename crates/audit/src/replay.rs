@@ -240,6 +240,9 @@ struct Replay<'a> {
     cfg: &'a SimConfig,
     policy: ReplayPolicy,
     guarantees: bool,
+    /// ccRM's statically-scaled pacing rate (§2.5), decided once: the task
+    /// set does not change during a replay. 1.0 for every other policy.
+    cc_rm_alpha: f64,
     rt: Vec<TaskRt>,
     /// Independent ccEDF oracle: worst-case utilization on release, actual
     /// on completion, maintained from the journal alone (§2.4).
@@ -275,6 +278,11 @@ impl<'a> Replay<'a> {
             .collect();
         let policy = ReplayPolicy::build(auditor.kind);
         let guarantees = policy.as_dyn_ref().guarantees(auditor.tasks);
+        let cc_rm_alpha = match auditor.kind {
+            PolicyKind::CcRm(test) => static_rm_point(auditor.tasks, auditor.machine, test)
+                .map_or(1.0, |idx| auditor.machine.point(idx).freq),
+            _ => 1.0,
+        };
         Replay {
             tasks: auditor.tasks,
             machine: auditor.machine,
@@ -282,6 +290,7 @@ impl<'a> Replay<'a> {
             cfg: auditor.cfg,
             policy,
             guarantees,
+            cc_rm_alpha,
             rt,
             cc_util: auditor
                 .tasks
@@ -903,12 +912,7 @@ impl<'a> Replay<'a> {
                 let alpha = p.alpha();
                 let point = p.current_point();
                 let expected = point_for_demand(self.machine, allot, window);
-                let test = match self.kind {
-                    PolicyKind::CcRm(t) => t,
-                    _ => unreachable!("ReplayPolicy::CcRm only built for PolicyKind::CcRm"),
-                };
-                let static_alpha = static_rm_point(self.tasks, self.machine, test)
-                    .map_or(1.0, |idx| self.machine.point(idx).freq);
+                let static_alpha = self.cc_rm_alpha;
                 let mut flags: Vec<(Rule, String)> = Vec::new();
                 if (alpha - static_alpha).abs() > EPS {
                     flags.push((

@@ -13,7 +13,7 @@ use rtdvs_core::view::{InvState, SystemView, TaskView};
 use rtdvs_taskgen::{generate, TaskGenSpec};
 
 fn bench_rm_tests() {
-    for n in [5usize, 20, 80] {
+    for n in [5usize, 20, 80, 128] {
         let spec = TaskGenSpec::new(n, 0.69).expect("valid spec");
         let tasks = generate(&spec, 41).expect("generator succeeds");
         for test in [
@@ -37,6 +37,13 @@ fn bench_static_point_selection() {
             static_rm_point(&tasks, &machine, test)
         });
     }
+    // The soak-sized set every RM kernel admission and ccRM init decides.
+    let machine = Machine::machine0();
+    let spec = TaskGenSpec::new(128, 0.8).expect("valid spec");
+    let tasks = generate(&spec, 24301).expect("generator succeeds");
+    bench("static_rm_point", "SchedulingPoints/128", || {
+        static_rm_point(&tasks, &machine, RmTest::SchedulingPoints)
+    });
 }
 
 fn bench_la_edf_defer() {

@@ -15,6 +15,42 @@
 //! * **RM, response time** — the equivalent iterative response-time
 //!   analysis, kept as an independent cross-check of the scheduling-point
 //!   test.
+//!
+//! # The scheduling-point sweep
+//!
+//! [`rm_lowest_feasible`] decides every frequency of a machine in one pass
+//! per RM level. Passing at `α` implies passing at any higher frequency, so
+//! the set's lowest point is the highest of its levels' lowest points.
+//! Levels go in RM order, carrying `c`, the highest point an earlier level
+//! needs; a level is done as soon as it fits at `c`, and a level that fits
+//! at no frequency makes the set infeasible.
+//!
+//! 1. A level first tries `t = P_i` with the term-by-term workload sum.
+//!    Most levels fit at `c` there, for O(i) work.
+//! 2. Otherwise it sweeps `S_i` in ascending order. A binary heap yields
+//!    the multiples `k·P_j` exactly as the per-frequency test generates
+//!    them (the same `⌊P_i/P_j + 10⁻⁹⌋` bound, the same `k as f64 * P_j`
+//!    products), and a running sum keeps `W = Σ n_j·C_j`. `W(t)` is the sum
+//!    before the tasks whose multiple is `t` move on. A task whose last
+//!    passed multiple lies within `10⁻⁷·t` below `t` takes its count from
+//!    `ceil_tolerant` instead, which is what float noise in colliding
+//!    multiples needs. Each point costs O(log i) instead of O(i).
+//! 3. Every frequency from `c` up is decided from the same `W`, comparing
+//!    `W/α` with `t + EPS`. The running sum drifts from the term-by-term
+//!    sum by far less than 10⁻⁹ relative, so inside a guard band
+//!    `|W/α − (t + EPS)| ≤ 10⁻⁷·max(t, 1)` the term-by-term sum decides and
+//!    outside it the two agree. Every verdict is the one a separate
+//!    per-frequency test gives (`tests/rm_oracle.rs` checks this against a
+//!    frozen copy of that test).
+//!
+//! Computing the critical scaling factor `α* = max_i min_{t ∈ S_i} W_i(t)/t`
+//! once and comparing frequencies against it was rejected: `α*` needs the
+//! minimum over every point of every level with no early exit, which costs
+//! more than the per-frequency tests it would replace, while the sweep is
+//! cheap enough to rerun at every admission without a cache.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::machine::{Machine, PointIdx};
 use crate::task::{Task, TaskSet};
@@ -64,7 +100,7 @@ pub fn rm_feasible_at(tasks: &TaskSet, alpha: f64, test: RmTest) -> bool {
         RmTest::LiuLayland => {
             tasks.total_utilization() <= alpha * liu_layland_bound(tasks.len()) + EPS
         }
-        RmTest::SchedulingPoints => rm_scheduling_points_feasible(tasks, alpha),
+        RmTest::SchedulingPoints => rm_lowest_feasible(tasks, &[alpha]).is_some(),
         RmTest::ResponseTime => rm_response_time_feasible(tasks, alpha),
     }
 }
@@ -81,41 +117,167 @@ fn ceil_tolerant(t: f64, p: f64) -> f64 {
     }
 }
 
-/// Exact scheduling-point RM test at frequency factor `alpha`.
+/// Index of the lowest frequency in `freqs` at which `tasks` passes the
+/// exact scheduling-point RM test, or `None` if it passes at none.
 ///
-/// For each task `i` in priority order, searches the scheduling points
-/// `S_i = { k·P_j : j ≤ i, k = 1..⌊P_i/P_j⌋ } ∪ {P_i}` for a `t` with
-/// `Σ_{j ≤ i} ⌈t/P_j⌉ · C_j/α ≤ t`.
-fn rm_scheduling_points_feasible(tasks: &TaskSet, alpha: f64) -> bool {
-    debug_assert!(alpha > 0.0);
-    let order = tasks.rm_order();
-    for (i, &id_i) in order.iter().enumerate() {
-        let p_i = tasks.task(id_i).period().as_ms();
-        // Collect scheduling points for level i.
-        let mut points: Vec<f64> = Vec::new();
-        for &id_j in &order[..=i] {
-            let p_j = tasks.task(id_j).period().as_ms();
-            let kmax = (p_i / p_j + 1e-9).floor() as u64;
-            for k in 1..=kmax {
-                points.push(k as f64 * p_j);
-            }
+/// `freqs` must be positive and ascending, as a machine's points are. The
+/// answer is the one a separate test at every frequency would give: for each
+/// task `i` in priority order, some scheduling point
+/// `t ∈ S_i = { k·P_j : j ≤ i, k = 1..⌊P_i/P_j⌋ } ∪ {P_i}` must satisfy
+/// `Σ_{j ≤ i} ⌈t/P_j⌉ · C_j/α ≤ t`. The module documentation describes the
+/// one sweep per level that decides all of `freqs` at once.
+#[must_use]
+pub fn rm_lowest_feasible(tasks: &TaskSet, freqs: &[f64]) -> Option<usize> {
+    debug_assert!(freqs.iter().all(|&f| f > 0.0));
+    let rm: Vec<(f64, f64)> = tasks
+        .rm_order()
+        .iter()
+        .map(|&id| {
+            let task = tasks.task(id);
+            (task.period().as_ms(), task.wcet().as_ms())
+        })
+        .collect();
+    let mut need = 0;
+    for i in 1..=rm.len() {
+        need = level_lowest_feasible(rm.get(..i)?, freqs, need)?;
+    }
+    Some(need)
+}
+
+/// Whether the level whose tasks are `level` (`(P_j, C_j)` in RM order)
+/// fits at scheduling point `t` at frequency factor `alpha`, summed term by
+/// term exactly as the per-frequency test always has.
+fn level_fits(level: &[(f64, f64)], t: f64, alpha: f64) -> bool {
+    let workload: f64 = level
+        .iter()
+        .map(|&(p, c)| ceil_tolerant(t, p) * c / alpha)
+        .sum();
+    workload <= t + EPS
+}
+
+/// The first index in `from..upto` whose frequency `fits`, or `upto`.
+fn first_fit(freqs: &[f64], from: usize, upto: usize, fits: impl Fn(f64) -> bool) -> usize {
+    freqs
+        .iter()
+        .enumerate()
+        .take(upto)
+        .skip(from)
+        .find(|&(_, &f)| fits(f))
+        .map_or(upto, |(p, _)| p)
+}
+
+/// The next multiple `k·P_j` of one task's period in a level sweep; the
+/// heap orders multiples by value, smallest first.
+#[derive(Debug, Clone, Copy)]
+struct Multiple {
+    at: f64,
+    k: u64,
+    /// `⌊P_i/P_j⌋`: multiples up to this one are scheduling points.
+    kmax: u64,
+    period: f64,
+    wcet: f64,
+    task: usize,
+}
+
+impl Multiple {
+    fn is_point(&self) -> bool {
+        self.k <= self.kmax
+    }
+}
+
+impl Ord for Multiple {
+    /// Smallest value first; at equal values scheduling points come first,
+    /// so a sweep never passes a point while moving a later multiple on.
+    fn cmp(&self, other: &Multiple) -> Ordering {
+        other
+            .at
+            .total_cmp(&self.at)
+            .then(self.is_point().cmp(&other.is_point()))
+            .then(other.task.cmp(&self.task))
+    }
+}
+
+impl PartialOrd for Multiple {
+    fn partial_cmp(&self, other: &Multiple) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Multiple {
+    fn eq(&self, other: &Multiple) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Multiple {}
+
+/// Relative width of the window below a scheduling point in which a task's
+/// last passed multiple may still count as that point's multiple (see
+/// [`ceil_tolerant`]), and of the guard band around the fit threshold in
+/// which the running workload sum defers to the term-by-term one.
+const SWEEP_TOLERANCE: f64 = 1e-7;
+
+/// The lowest index `p ≥ from` at which the last task of `level` fits at
+/// some scheduling point at frequency `freqs[p]`, or `None`.
+fn level_lowest_feasible(level: &[(f64, f64)], freqs: &[f64], from: usize) -> Option<usize> {
+    let &(p_i, _) = level.last()?;
+    let mut best = first_fit(freqs, from, freqs.len(), |f| level_fits(level, p_i, f));
+    let mut heap: BinaryHeap<Multiple> = level
+        .iter()
+        .enumerate()
+        .map(|(task, &(period, wcet))| Multiple {
+            at: period,
+            k: 1,
+            kmax: (p_i / period + 1e-9).floor() as u64,
+            period,
+            wcet,
+            task,
+        })
+        .collect();
+    let mut points_left: u64 = heap.iter().map(|m| m.kmax).sum();
+    // Σ n_j·C_j with n_j the index of task j's next multiple.
+    let mut workload: f64 = level.iter().map(|&(_, c)| c).sum();
+    // Tasks whose last passed multiple may lie within the tolerance window
+    // below the current point, stored as that multiple and the count after
+    // it.
+    let mut recent: Vec<Multiple> = Vec::new();
+    while best > from && points_left > 0 {
+        let Some(&next) = heap.peek() else { break };
+        let t = next.at;
+        if next.is_point() {
+            recent.retain(|r| r.at >= t - SWEEP_TOLERANCE * t);
+            let w = recent.iter().fold(workload, |w, r| {
+                w + (ceil_tolerant(t, r.period) - r.k as f64) * r.wcet
+            });
+            let limit = t + EPS;
+            let band = SWEEP_TOLERANCE * t.max(1.0);
+            best = first_fit(freqs, from, best, |f| {
+                let demand = w / f;
+                if (demand - limit).abs() <= band {
+                    level_fits(level, t, f)
+                } else {
+                    demand <= limit
+                }
+            });
         }
-        points.push(p_i);
-        let fits = points.iter().any(|&t| {
-            let workload: f64 = order[..=i]
-                .iter()
-                .map(|&id_j| {
-                    let task = tasks.task(id_j);
-                    ceil_tolerant(t, task.period().as_ms()) * task.wcet().as_ms() / alpha
-                })
-                .sum();
-            workload <= t + EPS
-        });
-        if !fits {
-            return false;
+        // Pass every multiple at `t`: a point's own multiples count at that
+        // point and move on only after it.
+        while let Some(mut m) = heap.peek_mut() {
+            if m.at > t {
+                break;
+            }
+            if m.is_point() {
+                points_left -= 1;
+            }
+            m.k += 1;
+            workload += m.wcet;
+            let task = m.task;
+            recent.retain(|r| r.task != task);
+            recent.push(*m);
+            m.at = m.k as f64 * m.period;
         }
     }
-    true
+    (best < freqs.len()).then_some(best)
 }
 
 /// Exact response-time RM analysis at frequency factor `alpha`.
@@ -162,7 +324,15 @@ pub fn static_edf_point(tasks: &TaskSet, machine: &Machine) -> Option<PointIdx> 
 /// which the chosen RM test passes, or `None` if none passes.
 #[must_use]
 pub fn static_rm_point(tasks: &TaskSet, machine: &Machine, test: RmTest) -> Option<PointIdx> {
-    machine.lowest_point_where(|p| rm_feasible_at(tasks, p.freq, test))
+    match test {
+        RmTest::SchedulingPoints => {
+            let freqs: Vec<f64> = machine.points().iter().map(|p| p.freq).collect();
+            rm_lowest_feasible(tasks, &freqs)
+        }
+        RmTest::LiuLayland | RmTest::ResponseTime => {
+            machine.lowest_point_where(|p| rm_feasible_at(tasks, p.freq, test))
+        }
+    }
 }
 
 /// The period-stretch ladder used by elastic overload degradation: each

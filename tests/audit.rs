@@ -72,6 +72,33 @@ fn paper_policies_audit_clean_on_random_sets() {
     }
 }
 
+/// The soak-sized case: 128 tasks from the paper's three period bands at
+/// U = 0.8, drawn until the exact RM test guarantees them, replay clean
+/// under every paper policy.
+#[test]
+fn paper_policies_audit_clean_on_a_128_task_set() {
+    let spec = TaskGenSpec::new(128, 0.8).expect("valid spec");
+    let tasks = (0..64)
+        .map(|k| generate(&spec, 24301 + k).expect("generator succeeds"))
+        .find(|set| rm_feasible_at(set, 1.0, RmTest::SchedulingPoints))
+        .expect("an RM-schedulable draw");
+    let machine = Machine::machine0();
+    let cfg = SimConfig::new(Time::from_ms(200.0))
+        .with_exec(ExecModel::uniform())
+        .with_seed(24301);
+    for kind in PolicyKind::paper_six() {
+        let (report, violations) = audit_run(&tasks, &machine, kind, &cfg);
+        assert!(
+            violations.is_empty(),
+            "{}: {} violations, first: {}",
+            kind.name(),
+            violations.len(),
+            violations[0]
+        );
+        assert!(report.all_deadlines_met(), "{}", kind.name());
+    }
+}
+
 /// A manual pin below the required frequency is a deadline-missing run
 /// the auditor must reject, case after seeded case.
 #[test]

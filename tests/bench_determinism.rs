@@ -135,12 +135,13 @@ fn reencode<A: Artifact>(text: &str) -> Result<String, ArtifactError> {
     Ok(A::from_json(text)?.to_json())
 }
 
-/// Every schema a committed `BENCH_*.json` may carry, with its codec.
-const CODECS: [(&str, fn(&str) -> Result<String, ArtifactError>); 4] = [
+/// Every schema a committed artifact may carry, with its codec.
+const CODECS: [(&str, fn(&str) -> Result<String, ArtifactError>); 5] = [
     (BenchArtifact::SCHEMA, reencode::<BenchArtifact>),
     (ThroughputArtifact::SCHEMA, reencode::<ThroughputArtifact>),
     (TenantsArtifact::SCHEMA, reencode::<TenantsArtifact>),
     (CampaignArtifact::SCHEMA, reencode::<CampaignArtifact>),
+    (ReproArtifact::SCHEMA, reencode::<ReproArtifact>),
 ];
 
 fn read_committed(name: &str) -> String {
@@ -148,20 +149,21 @@ fn read_committed(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
-/// Every committed `BENCH_*.json` is exactly what the one writer renders
-/// from it: parse, rebuild the tree, render, and get the file back byte
-/// for byte. (`results/repro_availability_floor.json` predates the
-/// `clock` plan dimension, so re-rendering it adds a key; its replay
-/// gate is `figures repro`.)
+/// Every committed `BENCH_*.json`, and the committed repro, is exactly
+/// what the one writer renders from it: parse, rebuild the tree, render,
+/// and get the file back byte for byte.
 #[test]
 fn committed_goldens_round_trip_byte_for_byte() {
-    let mut checked = Vec::new();
+    let mut names = vec!["results/repro_availability_floor.json".to_owned()];
     for entry in std::fs::read_dir(env!("CARGO_MANIFEST_DIR")).expect("repository root") {
         let name = entry.expect("directory entry").file_name();
         let name = name.to_string_lossy();
-        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
-            continue;
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            names.push(name.into_owned());
         }
+    }
+    assert!(names.len() >= 10, "found only {names:?}");
+    for name in names {
         let text = read_committed(&name);
         let schema = Json::parse(&text)
             .and_then(|doc| Ok(doc.get("schema")?.as_str()?.to_owned()))
@@ -172,9 +174,7 @@ fn committed_goldens_round_trip_byte_for_byte() {
             .unwrap_or_else(|| panic!("{name}: no codec for schema {schema:?}"));
         let again = reencode(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(again == text, "{name} does not re-render byte for byte");
-        checked.push(name.into_owned());
     }
-    assert!(checked.len() >= 9, "found only {checked:?}");
 }
 
 /// Parses the committed `file` twice, applies `mutate` to one copy, and

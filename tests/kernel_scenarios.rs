@@ -3,8 +3,14 @@
 
 use rtdvs::core::analysis::RmTest;
 use rtdvs::core::example::table2_task_set;
-use rtdvs::kernel::{ColdStartBody, FractionBody, KernelEvent, RtKernel, UniformBody, WcetBody};
-use rtdvs::{simulate, ExecModel, Machine, PolicyKind, SimConfig, Time, Work};
+use rtdvs::core::task::Task;
+use rtdvs::kernel::{
+    ColdStartBody, FractionBody, KernelError, KernelEvent, RtKernel, UniformBody, WcetBody,
+};
+use rtdvs::taskgen::{generate, TaskGenSpec};
+use rtdvs::{simulate, ExecModel, Machine, PolicyKind, SimConfig, TaskSet, Time, Work};
+
+mod frozen_rm;
 
 fn ms(v: f64) -> Time {
     Time::from_ms(v)
@@ -108,6 +114,59 @@ fn policy_carousel_under_load() {
         .filter(|(_, e)| matches!(e, KernelEvent::PolicyLoaded { .. }))
         .count();
     assert_eq!(loads, 8);
+}
+
+/// RM-kernel admission runs the exact test on every spawn: over a 128-task
+/// three-band set at U = 1.0, which outgrows RM near its end, each spawn's
+/// verdict and the static RM kernel's operating point match the frozen
+/// per-frequency test on the set admitted so far, and a last task that
+/// overloads the set is refused.
+#[test]
+fn rm_admission_matches_the_frozen_exact_test() {
+    let machine = Machine::machine0();
+    let spec = TaskGenSpec::new(128, 1.0).expect("valid spec");
+    let tasks = generate(&spec, 24301).expect("generator succeeds");
+    let mut static_rm = RtKernel::new(machine.clone(), PolicyKind::StaticRm(RmTest::default()));
+    let mut cc_rm = RtKernel::new(machine.clone(), PolicyKind::CcRm(RmTest::default()));
+    let mut admitted: Vec<Task> = Vec::new();
+    let mut refused = 0;
+    let overload = Task::from_ms(10.0, 5.0).expect("valid task");
+    for (i, task) in tasks.tasks().iter().chain([&overload]).enumerate() {
+        let mut candidate = admitted.clone();
+        candidate.push(*task);
+        let expected = frozen_rm::oracle_static_rm_point(
+            &TaskSet::new(candidate).expect("non-empty"),
+            &machine,
+        );
+        for kernel in [&mut static_rm, &mut cc_rm] {
+            let verdict = kernel.spawn(task.period(), task.wcet(), Box::new(WcetBody));
+            match expected {
+                Some(_) => assert!(verdict.is_ok(), "spawn {i}: {verdict:?}"),
+                None => assert!(
+                    matches!(verdict, Err(KernelError::NotSchedulable { .. })),
+                    "spawn {i}: {verdict:?}"
+                ),
+            }
+        }
+        match expected {
+            Some(point) => {
+                admitted.push(*task);
+                // The static RM kernel runs at its chosen point even idle.
+                static_rm.run_for(ms(1e-3));
+                assert_eq!(
+                    machine.point_at_least(static_rm.current_frequency()),
+                    point,
+                    "spawn {i}"
+                );
+            }
+            None => refused += 1,
+        }
+    }
+    assert!(
+        refused > 1,
+        "the set must outgrow RM before the overload task"
+    );
+    assert!(admitted.len() > 64, "only {} admitted", admitted.len());
 }
 
 /// Kernel and batch simulator agree bit-for-bit on a static workload for
