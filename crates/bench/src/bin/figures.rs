@@ -505,6 +505,13 @@ fn throughput_checks(art: &ThroughputArtifact) -> Result<String, String> {
             );
         }
     }
+    for k in &art.kernel {
+        let _ = writeln!(
+            s,
+            "  kernel {:>9} {:>10} events {:>12.0} vs {:>12.0} events/s  {:>6.2}x engine (floor {}x)",
+            k.policy, k.events, k.kernel_eps, k.engine_eps, k.ratio, art.kernel_floor_ratio
+        );
+    }
     Ok(s)
 }
 

@@ -41,6 +41,6 @@ pub use tenants::{
     run_tenants, tenants_smoke_config, TenantOutcome, TenantSpec, TenantsArtifact, TenantsConfig,
 };
 pub use throughput::{
-    floor_violations, pin_table2_traces, run_throughput, throughput_smoke_config, PolicyThroughput,
-    ThroughputArtifact, ThroughputConfig,
+    floor_violations, pin_table2_traces, run_throughput, throughput_smoke_config, KernelThroughput,
+    PolicyThroughput, ThroughputArtifact, ThroughputConfig,
 };

@@ -35,6 +35,14 @@
 //!   so a faster policy speeds up both engines alike and the
 //!   engine/baseline ratio cannot show it.
 //!
+//! A third panel, `kernel`, runs the same soak set through one
+//! [`RtKernel`] per floored policy (seeded uniform bodies, one
+//! `run_until` over the soak horizon) and holds its events/s — releases
+//! plus completions in the kernel log — to at least
+//! [`ThroughputConfig::kernel_floor_ratio`] times the engine's, measured
+//! in the same process: the kernel's run loop keeps its scheduling state
+//! incrementally and must not fall back to per-step sweeps.
+//!
 //! The committed golden (`BENCH_throughput.json`, schema
 //! `rtdvs-throughput/v1`) pins the machine-independent payload: seed,
 //! panel shapes, per-policy event counts, and the floor values. Measured
@@ -46,6 +54,7 @@ use std::time::Instant;
 use rtdvs_core::example::{table2_task_set, table3_actual_times, EXAMPLE_HORIZON_MS};
 use rtdvs_core::task::TaskSet;
 use rtdvs_core::{Machine, PolicyKind, Time};
+use rtdvs_kernel::{KernelEvent, RtKernel, UniformBody};
 use rtdvs_sim::baseline::simulate_baseline;
 use rtdvs_sim::{simulate, ExecModel, SimConfig, SimReport};
 use rtdvs_taskgen::{generate, TaskGenSpec};
@@ -74,10 +83,15 @@ pub struct ThroughputConfig {
     pub floor_ratio: f64,
     /// Regression guard on the Table 2 panel (near-1 ratios expected).
     pub table2_floor_ratio: f64,
+    /// Events/s floor on the kernel panel: `kernel / engine` on the soak
+    /// set must be at least this for every floored policy.
+    pub kernel_floor_ratio: f64,
 }
 
 /// The committed soak shape: 128 tasks at U = 0.8, measured against a
-/// 5× floor (observed ratios are 6.7–8.4× on the floored policies).
+/// 5× floor (observed ratios are 6.7–8.4× on the floored policies), and
+/// the kernel held to 0.4× the engine (observed ~1×; the per-step
+/// rebuild it replaced ran at ~0.1×).
 #[must_use]
 pub fn throughput_smoke_config(seed: u64) -> ThroughputConfig {
     ThroughputConfig {
@@ -89,6 +103,7 @@ pub fn throughput_smoke_config(seed: u64) -> ThroughputConfig {
         min_measure_ms: 250,
         floor_ratio: 5.0,
         table2_floor_ratio: 0.5,
+        kernel_floor_ratio: 0.4,
     }
 }
 
@@ -109,6 +124,22 @@ pub struct PolicyThroughput {
     pub ratio: f64,
 }
 
+/// One floored policy's soak set run through the kernel.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelThroughput {
+    /// Policy display name.
+    pub policy: String,
+    /// Releases plus completions the kernel logs per run (pinned).
+    pub events: u64,
+    /// Kernel events/s (provenance; zeroed in canonical form).
+    pub kernel_eps: f64,
+    /// The engine's events/s on the same set, from the soak panel
+    /// (provenance; zeroed in canonical form).
+    pub engine_eps: f64,
+    /// `kernel_eps / engine_eps` (provenance; zeroed in canonical form).
+    pub ratio: f64,
+}
+
 /// The full soak result / golden artifact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputArtifact {
@@ -120,10 +151,14 @@ pub struct ThroughputArtifact {
     pub floor_ratio: f64,
     /// Table 2 panel regression floor.
     pub table2_floor_ratio: f64,
+    /// Kernel panel floor, as a ratio to the engine.
+    pub kernel_floor_ratio: f64,
     /// Table 2 panel, all six policies.
     pub table2: Vec<PolicyThroughput>,
     /// Soak panel, all six policies.
     pub soak: Vec<PolicyThroughput>,
+    /// Kernel panel, the floored policies.
+    pub kernel: Vec<KernelThroughput>,
     /// Total wall clock (provenance; zeroed in canonical form).
     pub wall_ms: u64,
 }
@@ -160,8 +195,29 @@ impl Artifact for ThroughputArtifact {
                 "table2_floor_ratio",
                 Json::fixed(self.table2_floor_ratio, 2),
             ),
+            (
+                "kernel_floor_ratio",
+                Json::fixed(self.kernel_floor_ratio, 2),
+            ),
             ("table2", panel(&self.table2)),
             ("soak", panel(&self.soak)),
+            (
+                "kernel",
+                Json::list(self.kernel.iter().map(|k| {
+                    let (kernel, engine, ratio) = if canonical {
+                        (0.0, 0.0, 0.0)
+                    } else {
+                        (k.kernel_eps, k.engine_eps, k.ratio)
+                    };
+                    Json::row([
+                        ("policy", Json::str(&k.policy)),
+                        ("events", Json::int(k.events)),
+                        ("kernel_eps", Json::fixed(kernel, 0)),
+                        ("engine_eps", Json::fixed(engine, 0)),
+                        ("ratio", Json::fixed(ratio, 2)),
+                    ])
+                })),
+            ),
             (
                 "wall_ms",
                 Json::int(if canonical { 0 } else { self.wall_ms }),
@@ -187,8 +243,18 @@ impl Artifact for ThroughputArtifact {
             soak_tasks: value.get("soak_tasks")?.as_u64()?,
             floor_ratio: value.get("floor_ratio")?.as_f64()?,
             table2_floor_ratio: value.get("table2_floor_ratio")?.as_f64()?,
+            kernel_floor_ratio: value.get("kernel_floor_ratio")?.as_f64()?,
             table2: panel("table2")?,
             soak: panel("soak")?,
+            kernel: value.get("kernel")?.map_items(|k| {
+                Ok(KernelThroughput {
+                    policy: k.get("policy")?.as_str()?.to_owned(),
+                    events: k.get("events")?.as_u64()?,
+                    kernel_eps: k.get("kernel_eps")?.as_f64()?,
+                    engine_eps: k.get("engine_eps")?.as_f64()?,
+                    ratio: k.get("ratio")?.as_f64()?,
+                })
+            })?,
             wall_ms: value.get("wall_ms")?.as_u64()?,
         })
     }
@@ -204,6 +270,17 @@ impl Artifact for ThroughputArtifact {
         }
         if self.table2_floor_ratio <= 0.0 {
             problems.push("table2_floor_ratio must be positive".to_owned());
+        }
+        if self.kernel_floor_ratio <= 0.0 {
+            problems.push("kernel_floor_ratio must be positive".to_owned());
+        }
+        if self.kernel.is_empty() {
+            problems.push("kernel: no policy measured".to_owned());
+        }
+        for k in &self.kernel {
+            if k.events == 0 {
+                problems.push(format!("kernel/{}: zero events", k.policy));
+            }
         }
         if self.soak_tasks < 32 {
             problems.push(format!(
@@ -352,8 +429,71 @@ fn measure_panel(
         .collect()
 }
 
+/// Measures the soak set in an [`RtKernel`] for every floored policy of
+/// the `soak` panel: admission (untimed), then one timed `run_until` over
+/// the horizon, repeated until `min_ms` of run time has accumulated; the
+/// best events/s wins, as for the engines.
+fn measure_kernel(
+    tasks: &TaskSet,
+    machine: &Machine,
+    cfg: &ThroughputConfig,
+    soak: &[PolicyThroughput],
+) -> Vec<KernelThroughput> {
+    PolicyKind::paper_six()
+        .into_iter()
+        .filter(|&kind| is_floored(kind))
+        .map(|kind| {
+            let mut events = 0u64;
+            let mut best = 0.0f64;
+            let mut spent_ns = 0u128;
+            while spent_ns < u128::from(cfg.min_measure_ms) * 1_000_000 {
+                let mut kernel = RtKernel::new(machine.clone(), kind);
+                for (i, t) in tasks.tasks().iter().enumerate() {
+                    kernel
+                        .spawn(
+                            t.period(),
+                            t.wcet(),
+                            Box::new(UniformBody::new(cfg.seed.wrapping_add(i as u64))),
+                        )
+                        .expect("the soak set passes every paper policy's admission test");
+                }
+                let t0 = Instant::now();
+                kernel.run_until(cfg.soak_horizon);
+                let ns = t0.elapsed().as_nanos().max(1);
+                spent_ns += ns;
+                events = kernel
+                    .log()
+                    .iter()
+                    .filter(|(_, e)| {
+                        matches!(
+                            e,
+                            KernelEvent::Released { .. } | KernelEvent::Completed { .. }
+                        )
+                    })
+                    .count() as u64;
+                best = best.max(events as f64 * 1e9 / ns as f64);
+            }
+            let engine_eps = soak
+                .iter()
+                .find(|p| p.policy == kind.name())
+                .map_or(0.0, |p| p.engine_eps);
+            KernelThroughput {
+                policy: kind.name().to_owned(),
+                events,
+                kernel_eps: best,
+                engine_eps,
+                ratio: if engine_eps > 0.0 {
+                    best / engine_eps
+                } else {
+                    0.0
+                },
+            }
+        })
+        .collect()
+}
+
 /// Runs the full soak: trace pinning is the caller's job
-/// ([`pin_table2_traces`]); this measures events/s on both panels.
+/// ([`pin_table2_traces`]); this measures events/s on all three panels.
 ///
 /// # Panics
 ///
@@ -377,21 +517,25 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputArtifact {
         .with_exec(ExecModel::uniform())
         .with_seed(cfg.seed);
     let soak = measure_panel(&soak_set, &machine, &soak_sim, cfg.min_measure_ms, false);
+    let kernel = measure_kernel(&soak_set, &machine, cfg, &soak);
 
     ThroughputArtifact {
         seed: cfg.seed,
         soak_tasks: cfg.soak_tasks as u64,
         floor_ratio: cfg.floor_ratio,
         table2_floor_ratio: cfg.table2_floor_ratio,
+        kernel_floor_ratio: cfg.kernel_floor_ratio,
         table2,
         soak,
+        kernel,
         wall_ms: u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX),
     }
 }
 
 /// Applies the floors to a measured artifact: every floored soak policy
 /// must reach `floor_ratio`, every floored Table 2 policy
-/// `table2_floor_ratio`. Returns the violations (empty = pass).
+/// `table2_floor_ratio`, every kernel row `kernel_floor_ratio`. Returns
+/// the violations (empty = pass).
 #[must_use]
 pub fn floor_violations(fresh: &ThroughputArtifact) -> Vec<String> {
     let mut problems = Vec::new();
@@ -407,6 +551,15 @@ pub fn floor_violations(fresh: &ThroughputArtifact) -> Vec<String> {
                     p.policy, p.ratio, p.engine_eps, p.baseline_eps
                 ));
             }
+        }
+    }
+    for k in &fresh.kernel {
+        if k.ratio < fresh.kernel_floor_ratio {
+            problems.push(format!(
+                "kernel/{}: {:.2}x the engine is below the {}x floor \
+                 ({:.0} vs {:.0} events/s)",
+                k.policy, k.ratio, fresh.kernel_floor_ratio, k.kernel_eps, k.engine_eps
+            ));
         }
     }
     problems
@@ -426,6 +579,7 @@ mod tests {
             min_measure_ms: 1,
             floor_ratio: 5.0,
             table2_floor_ratio: 0.5,
+            kernel_floor_ratio: 0.4,
         }
     }
 
@@ -464,5 +618,25 @@ mod tests {
             p.ratio = 0.1;
         }
         assert!(!floor_violations(&art).is_empty());
+    }
+
+    #[test]
+    fn kernel_rows_cover_the_floored_policies_and_gate() {
+        let mut art = run_throughput(&tiny_config());
+        let names: Vec<&str> = art.kernel.iter().map(|k| k.policy.as_str()).collect();
+        assert_eq!(names, ["EDF", "StaticRM", "StaticEDF", "ccEDF"]);
+        assert!(art.kernel.iter().all(|k| k.events > 0));
+        for p in &mut art.soak {
+            p.ratio = f64::INFINITY;
+        }
+        for p in &mut art.table2 {
+            p.ratio = f64::INFINITY;
+        }
+        for k in &mut art.kernel {
+            k.ratio = 1.0;
+        }
+        assert!(floor_violations(&art).is_empty());
+        art.kernel[0].ratio = 0.1;
+        assert_eq!(floor_violations(&art).len(), 1);
     }
 }

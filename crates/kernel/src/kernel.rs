@@ -17,7 +17,9 @@
 //! * **cold-start overruns** — see [`crate::body::ColdStartBody`]; the
 //!   kernel logs any invocation that exceeds its declared bound.
 
+use core::cmp::Reverse;
 use core::fmt;
+use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 
 use rtdvs_core::machine::{Machine, PointIdx};
@@ -337,6 +339,135 @@ impl Entry {
     pub(crate) fn stretched(&self) -> bool {
         self.user_spec.period().as_ms() > self.nominal_period.as_ms() + EPS
     }
+
+    /// Work left in the current invocation.
+    fn remaining(&self) -> Work {
+        (self.actual - self.executed).clamp_non_negative()
+    }
+
+    /// The policy-facing view of this entry, deadline untightened.
+    fn view(&self) -> TaskView {
+        if self.deferred {
+            TaskView {
+                invocation: 0,
+                state: InvState::Inactive,
+                executed: Work::ZERO,
+                deadline: Time::from_ms(FAR_FUTURE_MS),
+                next_release: Time::from_ms(FAR_FUTURE_MS),
+            }
+        } else {
+            TaskView {
+                invocation: self.invocation,
+                state: self.state,
+                executed: self.executed,
+                deadline: self.deadline,
+                next_release: self.next_release,
+            }
+        }
+    }
+}
+
+/// A pending release on the kernel's min-heap: `(release_key(next_release),
+/// entry index)`, the index narrowed to `u32` like the ready queue's id
+/// maps.
+pub(crate) type ReleaseItem = Reverse<(u64, u32)>;
+
+/// Heap key of a release instant: `next_release` is never negative, so
+/// the bits of its value order numerically (a non-positive or NaN instant
+/// keys as zero).
+fn release_key(t: Time) -> u64 {
+    let ms = t.as_ms();
+    if ms > 0.0 {
+        ms.to_bits()
+    } else {
+        0
+    }
+}
+
+/// The kernel's scheduling state, derived from `entries` and kept current
+/// as events happen (the kernel-side mirror of the engine's ready queue,
+/// completion candidates and synced views). Invariant:
+/// [`RtKernel::rebuild_and_reinit`] is the only full rebuild — it follows
+/// every entry-table change, period change and snapshot restore — and
+/// `release`, `complete`, the busy charge in `run_until` and the clearing
+/// of deferred first releases update only the entry they touch. Never
+/// serialized.
+#[derive(Default)]
+pub(crate) struct SchedState {
+    /// Priority-bitmap ready queue: the Active entries with work left.
+    rq: ReadyQueue,
+    /// Entries with an invocation in flight.
+    pub(crate) active: usize,
+    /// Entries whose first release waits for a quiescent instant.
+    deferred: usize,
+    /// Some entry runs at a governor-stretched period.
+    any_stretched: bool,
+    /// Entries that may have run out of work (bitmap): set when the busy
+    /// charge exhausts the running entry or a release samples zero work —
+    /// the only ways an invocation completes.
+    comp_cand: Vec<u64>,
+    /// Pending releases, earliest first: exactly one item per non-deferred
+    /// entry, ties broken by index.
+    releases: BinaryHeap<ReleaseItem>,
+    /// Reused buffer of release items popped off the heap.
+    pub(crate) due: Vec<ReleaseItem>,
+    /// The policy's task views, one per entry.
+    views: Vec<TaskView>,
+    /// `views` mirrors every entry's [`Entry::view`] exactly. Cleared when
+    /// a drifting clock made a callback see tightened deadlines.
+    views_exact: bool,
+}
+
+impl SchedState {
+    fn mark_candidate(&mut self, i: usize) {
+        if let Some(w) = self.comp_cand.get_mut(i / 64) {
+            *w |= 1u64 << (i % 64);
+        }
+    }
+
+    fn push_release(&mut self, i: usize, at: Time) {
+        self.releases.push(Reverse((release_key(at), i as u32)));
+    }
+
+    /// The entry holding the earliest pending release.
+    pub(crate) fn first_release(&self) -> Option<usize> {
+        self.releases.peek().map(|&Reverse((_, i))| i as usize)
+    }
+
+    /// Moves every release item due at or before `until` (tolerantly) off
+    /// the heap onto `out`, earliest first.
+    pub(crate) fn pop_due(&mut self, entries: &[Entry], until: Time, out: &mut Vec<ReleaseItem>) {
+        while let Some(&Reverse((key, i))) = self.releases.peek() {
+            if !entries
+                .get(i as usize)
+                .is_some_and(|e| e.next_release.at_or_before(until))
+            {
+                break;
+            }
+            self.releases.pop();
+            out.push(Reverse((key, i)));
+        }
+    }
+
+    /// While a tick gap holds releases back, an Active entry can pass its
+    /// deadline (which is its held release): its bucket then falls behind
+    /// the EDF cursor, where the pick would find it last. Re-buckets every
+    /// such member at the current tick, exactly as a freshly filled queue
+    /// would place it.
+    fn rebucket_held(&mut self, entries: &[Entry], now: Time, now_tick: u64) {
+        let mut held = std::mem::take(&mut self.due);
+        self.pop_due(entries, now, &mut held);
+        for &Reverse((key, i)) in &held {
+            if let Some(e) = entries.get(i as usize) {
+                if self.rq.contains(TaskId(i as usize)) {
+                    self.rq.insert(TaskId(i as usize), e.deadline, now_tick);
+                }
+            }
+            self.releases.push(Reverse((key, i)));
+        }
+        held.clear();
+        self.due = held;
+    }
 }
 
 /// A task evicted in degraded mode, waiting to be re-admitted through the
@@ -440,15 +571,11 @@ pub struct RtKernel {
     /// The watchdog supervisor, when armed. Like the regulator, never
     /// serialized: it owns the snapshot it would restore from.
     pub(crate) supervisor: Option<crate::supervisor::Supervisor>,
-    /// Priority-bitmap ready queue reused across scheduler iterations
-    /// (rebuilt from `entries` each pick; O(1) highest-priority lookup,
-    /// no per-iteration allocation). Derived state: reconfigured by
-    /// [`RtKernel::rebuild_and_reinit`], never serialized.
-    pub(crate) rq: ReadyQueue,
-    /// Scratch buffer the policy's [`SystemView`] is built in, refilled at
-    /// every callback so callbacks allocate nothing. Derived state, never
+    /// Ready queue, release heap, completion candidates and policy views:
+    /// rebuilt in full only by [`RtKernel::rebuild_and_reinit`], updated
+    /// incrementally by every event in between. Derived state, never
     /// serialized.
-    pub(crate) view_buf: Vec<TaskView>,
+    pub(crate) sched: SchedState,
     /// Multi-tenant servers spawned on this kernel, keyed by the periodic
     /// task that drives each one. Kept here so procfs can read tenant
     /// state back and checkpoints can restore the pairing.
@@ -500,8 +627,7 @@ impl RtKernel {
             regulator_fallbacks: 0,
             forced_transitions: 0,
             supervisor: None,
-            rq: ReadyQueue::new(),
-            view_buf: Vec::new(),
+            sched: SchedState::default(),
             tenant_servers: Vec::new(),
             timebase: crate::timebase::TimeBase::default(),
         };
@@ -748,7 +874,7 @@ impl RtKernel {
     pub fn governor(&self) -> GovernorState {
         if !self.shed.is_empty() {
             GovernorState::Shedding
-        } else if self.entries.iter().any(Entry::stretched) {
+        } else if self.sched.any_stretched {
             GovernorState::Stretched
         } else {
             GovernorState::Nominal
@@ -834,8 +960,7 @@ impl RtKernel {
                 utilization: candidate.total_utilization(),
             });
         }
-        let deferred =
-            self.defer_new_tasks && self.entries.iter().any(|e| e.state == InvState::Active);
+        let deferred = self.defer_new_tasks && self.sched.active > 0;
         let handle = TaskHandle(self.next_handle);
         self.next_handle += 1;
         self.insert_entry(Entry {
@@ -954,9 +1079,10 @@ impl RtKernel {
         self.rebuild_and_reinit();
     }
 
-    /// Rebuilds the positional task set and conservatively re-seeds the
-    /// policy: init with the new set, then a synthetic release callback for
-    /// every in-flight invocation so stateful policies (ccRM) rebuild their
+    /// Rebuilds the positional task set and the scheduling state in full
+    /// (the only O(n) rebuild), then conservatively re-seeds the policy:
+    /// init with the new set, then a synthetic release callback for every
+    /// in-flight invocation so stateful policies (ccRM) rebuild their
     /// pacing allotments from the real remaining work.
     pub(crate) fn rebuild_and_reinit(&mut self) {
         self.cached_set = if self.entries.is_empty() {
@@ -981,75 +1107,103 @@ impl RtKernel {
                         .total_cmp(&set.task(b).period())
                         .then(a.cmp(&b))
                 });
-                self.rq.configure(set.tasks().len(), span, &rm_order);
+                self.sched.rq.configure(set.tasks().len(), span, &rm_order);
             }
-            None => self.rq.configure(0, Time::ZERO, &[]),
+            None => self.sched.rq.configure(0, Time::ZERO, &[]),
         }
+        let now_tick = self.now_tick_index();
+        let s = &mut self.sched;
+        s.active = 0;
+        s.deferred = 0;
+        s.any_stretched = false;
+        s.comp_cand.clear();
+        s.comp_cand
+            .resize(self.entries.len().div_ceil(64).max(1), 0);
+        let mut releases = std::mem::take(&mut s.releases).into_vec();
+        releases.clear();
+        for (i, e) in self.entries.iter().enumerate() {
+            s.any_stretched |= e.stretched();
+            if e.deferred {
+                s.deferred += 1;
+            } else {
+                releases.push(Reverse((release_key(e.next_release), i as u32)));
+            }
+            if e.state == InvState::Active {
+                s.active += 1;
+                if e.remaining().is_positive() {
+                    s.rq.insert(TaskId(i), e.deadline, now_tick);
+                } else {
+                    s.mark_candidate(i);
+                }
+            }
+        }
+        s.releases = BinaryHeap::from(releases);
+        s.views_exact = false;
+        self.refresh_views();
         if let Some(set) = &self.cached_set {
             self.policy.init(set, &self.machine);
-            let mut views = std::mem::take(&mut self.view_buf);
-            self.fill_views(&mut views);
-            for i in 0..self.entries.len() {
-                if self.entries[i].state == InvState::Active {
+            for (i, e) in self.entries.iter().enumerate() {
+                if e.state == InvState::Active {
                     let sys = SystemView {
                         now: self.now,
                         tasks: set,
                         machine: &self.machine,
-                        views: &views,
+                        views: &self.sched.views,
                     };
                     self.policy.on_release(TaskId(i), &sys);
                 }
             }
-            self.view_buf = views;
         }
     }
 
-    /// Refills `views` with the policy-facing view of every entry.
+    /// Refills `views` with the policy-facing view of every entry, deadlines
+    /// tightened by the drift estimate (policies see tightened deadlines;
+    /// miss detection keeps the raw ones).
     fn fill_views(&self, views: &mut Vec<TaskView>) {
         views.clear();
         views.extend(self.entries.iter().map(|e| {
-            if e.deferred {
-                TaskView {
-                    invocation: 0,
-                    state: InvState::Inactive,
-                    executed: Work::ZERO,
-                    deadline: Time::from_ms(FAR_FUTURE_MS),
-                    next_release: Time::from_ms(FAR_FUTURE_MS),
-                }
-            } else {
-                TaskView {
-                    invocation: e.invocation,
-                    state: e.state,
-                    executed: e.executed,
-                    // Policies see deadlines tightened by the drift
-                    // estimate; miss detection keeps the raw one.
-                    deadline: self.clock_tightened_deadline(e.deadline),
-                    next_release: e.next_release,
-                }
+            let mut v = e.view();
+            if !e.deferred {
+                v.deadline = self.clock_tightened_deadline(v.deadline);
             }
+            v
         }));
     }
 
+    /// Brings the policy views up to date before a callback: nothing to do
+    /// while they mirror the entries; a full refill only while a drifting
+    /// clock tightens deadlines, or when leaving that state.
+    fn refresh_views(&mut self) {
+        let tightened = self.clock_tightens_deadlines();
+        if tightened || !self.sched.views_exact {
+            let mut views = std::mem::take(&mut self.sched.views);
+            self.fill_views(&mut views);
+            self.sched.views = views;
+            self.sched.views_exact = !tightened;
+        }
+    }
+
+    /// Mirrors entry `idx` into the policy views after a change to it.
+    fn sync_view(&mut self, idx: usize) {
+        if let (Some(e), Some(v)) = (self.entries.get(idx), self.sched.views.get_mut(idx)) {
+            *v = e.view();
+        }
+    }
+
     fn notify(&mut self, idx: usize, is_release: bool) {
+        self.refresh_views();
         let Some(set) = &self.cached_set else { return };
-        let mut views = std::mem::take(&mut self.view_buf);
-        self.fill_views(&mut views);
         let sys = SystemView {
             now: self.now,
             tasks: set,
             machine: &self.machine,
-            views: &views,
+            views: &self.sched.views,
         };
         if is_release {
             self.policy.on_release(TaskId(idx), &sys);
         } else {
             self.policy.on_completion(TaskId(idx), &sys);
         }
-        self.view_buf = views;
-    }
-
-    fn remaining(&self, idx: usize) -> Work {
-        (self.entries[idx].actual - self.entries[idx].executed).clamp_non_negative()
     }
 
     fn complete(&mut self, idx: usize) {
@@ -1072,6 +1226,9 @@ impl RtKernel {
             };
             self.log.push((self.now, ev));
         }
+        self.sched.active -= 1;
+        self.sched.rq.remove(TaskId(idx));
+        self.sync_view(idx);
         let ev = KernelEvent::Completed {
             handle: self.entries[idx].handle,
             invocation: self.entries[idx].invocation,
@@ -1080,14 +1237,17 @@ impl RtKernel {
         self.notify(idx, false);
     }
 
+    /// Releases entry `idx`, whose release item the caller has popped off
+    /// the heap; pushes its next one.
     pub(crate) fn release(&mut self, idx: usize) {
         let period = self.entries[idx].spec.period();
         let scheduled = self.entries[idx].next_release;
-        if self.entries[idx].state == InvState::Active {
+        let was_active = self.entries[idx].state == InvState::Active;
+        if was_active {
             let ev = KernelEvent::DeadlineMiss {
                 handle: self.entries[idx].handle,
                 invocation: self.entries[idx].invocation,
-                remaining: self.remaining(idx),
+                remaining: self.entries[idx].remaining(),
             };
             self.log.push((self.now, ev));
             if self.degrade_on_fault {
@@ -1096,6 +1256,7 @@ impl RtKernel {
                 let e = &mut self.entries[idx];
                 e.observed_peak = e.observed_peak.max(e.actual);
                 e.pending_shed = true;
+                self.sched.push_release(idx, scheduled);
                 return;
             }
         }
@@ -1108,6 +1269,21 @@ impl RtKernel {
         e.overrun_logged = false;
         let inv = e.invocation;
         e.actual = e.body.run(inv, &e.user_spec).max(Work::ZERO);
+        let (deadline, next_release, has_work) =
+            (e.deadline, e.next_release, e.remaining().is_positive());
+        if !was_active {
+            self.sched.active += 1;
+        }
+        self.sched.push_release(idx, next_release);
+        if has_work {
+            let now_tick = self.now_tick_index();
+            self.sched.rq.insert(TaskId(idx), deadline, now_tick);
+        } else {
+            // A zero-work invocation completes at its own release instant.
+            self.sched.rq.remove(TaskId(idx));
+            self.sched.mark_candidate(idx);
+        }
+        self.sync_view(idx);
         self.note_release_latency(idx, inv, scheduled);
         let ev = KernelEvent::Released {
             handle: self.entries[idx].handle,
@@ -1273,7 +1449,7 @@ impl RtKernel {
     fn relax_stretch(&mut self) -> bool {
         /// Utilization ceiling for relaxing back to nominal.
         const RELAX_HEADROOM: f64 = 0.95;
-        if !self.entries.iter().any(Entry::stretched)
+        if !self.sched.any_stretched
             || !self.shed.is_empty()
             || self.entries.iter().any(|e| e.pending_shed)
         {
@@ -1344,8 +1520,7 @@ impl RtKernel {
                 continue;
             };
             let t = self.shed.remove(i);
-            let deferred =
-                self.defer_new_tasks && self.entries.iter().any(|e| e.state == InvState::Active);
+            let deferred = self.defer_new_tasks && self.sched.active > 0;
             self.insert_entry(Entry {
                 handle: t.handle,
                 spec,
@@ -1387,16 +1562,33 @@ impl RtKernel {
                 progressed |= self.shed_pending();
                 progressed |= self.try_readmit();
             }
-            for i in 0..self.entries.len() {
-                if self.entries[i].state == InvState::Active && !self.remaining(i).is_positive() {
-                    self.complete(i);
-                    progressed = true;
+            // Completions first, in index order. The candidate bitmap only
+            // narrows the search: each candidate is re-verified against the
+            // entry before it completes.
+            for w in 0..self.sched.comp_cand.len() {
+                loop {
+                    let word = self.sched.comp_cand.get(w).copied().unwrap_or(0);
+                    if word == 0 {
+                        break;
+                    }
+                    let b = word.trailing_zeros() as usize;
+                    if let Some(slot) = self.sched.comp_cand.get_mut(w) {
+                        *slot &= !(1u64 << b);
+                    }
+                    let i = w * 64 + b;
+                    let done = self.entries.get(i).is_some_and(|e| {
+                        e.state == InvState::Active && !e.remaining().is_positive()
+                    });
+                    if done {
+                        self.complete(i);
+                        progressed = true;
+                    }
                 }
             }
             // A quiescent instant — no invocation in flight — is the safe
             // point for every whole-set change: staged mode changes commit,
             // the governor relaxes, and deferred first releases fire.
-            let quiescent = !self.entries.iter().any(|e| e.state == InvState::Active);
+            let quiescent = self.sched.active == 0;
             if quiescent {
                 if self.pending_change.is_some() {
                     progressed |= crate::modechange::commit_staged(self);
@@ -1412,14 +1604,18 @@ impl RtKernel {
             // Deferred tasks release once nothing is in flight (§4.3: "the
             // effects of past DVS decisions, based on the old task set,
             // will have expired").
-            if quiescent && self.entries.iter().any(|e| e.deferred) {
-                for e in &mut self.entries {
+            if quiescent && self.sched.deferred > 0 {
+                for i in 0..self.entries.len() {
+                    let e = &mut self.entries[i];
                     if e.deferred {
                         e.deferred = false;
                         e.next_release = self.now;
                         e.deadline = self.now + e.spec.period();
+                        self.sched.push_release(i, self.now);
+                        self.sync_view(i);
                     }
                 }
+                self.sched.deferred = 0;
                 progressed = true;
             }
             progressed |= self.process_due_releases();
@@ -1695,36 +1891,30 @@ impl RtKernel {
             // Grant any due policy review (see `DvsPolicy::review_at`).
             if let Some(review) = self.policy.review_at() {
                 if review.at_or_before(self.now) {
+                    self.refresh_views();
                     if let Some(set) = &self.cached_set {
-                        let mut views = std::mem::take(&mut self.view_buf);
-                        self.fill_views(&mut views);
                         let sys = SystemView {
                             now: self.now,
                             tasks: set,
                             machine: &self.machine,
-                            views: &views,
+                            views: &self.sched.views,
                         };
                         self.policy.on_review(&sys);
-                        self.view_buf = views;
                     }
                 }
             }
 
-            // Rebuild the bitmap queue from the authoritative entries and
-            // pick in O(1). Rebuilding is still a linear sweep, but it
-            // allocates nothing (the queue's storage is reused) and the
-            // pick itself no longer scans: same schedule, cheaper loop.
+            // The ready queue is kept current by every event (see
+            // `SchedState`), so the pick is O(1) with no per-step sweep.
             let now_tick = self.now_tick_index();
-            self.rq.clear();
-            for (i, e) in self.entries.iter().enumerate() {
-                if e.state == InvState::Active && self.remaining(i).is_positive() {
-                    self.rq.insert(TaskId(i), e.deadline, now_tick);
-                }
+            if self.timebase.release_gate().is_some() {
+                self.sched.rebucket_held(&self.entries, self.now, now_tick);
             }
             let running = match &self.cached_set {
-                Some(_) => self.rq.pick(self.policy.scheduler(), now_tick),
+                Some(_) => self.sched.rq.pick(self.policy.scheduler(), now_tick),
                 None => None,
             };
+            self.sanitize(now_tick, running);
             let desired = if running.is_some() {
                 self.policy.current_point()
             } else if self.cached_set.is_some() {
@@ -1747,11 +1937,8 @@ impl RtKernel {
             let mut t_next = t;
             // A release held back by the tick gate must not pin time: the
             // next timer tick (below) drives progress toward gap close.
-            let gate = self.timebase.release_gate();
-            for e in &self.entries {
-                if !e.deferred && gate.is_none_or(|cov| e.next_release.at_or_before(cov)) {
-                    t_next = t_next.min(e.next_release.max(self.now));
-                }
+            if let Some(release) = self.next_gated_release() {
+                t_next = t_next.min(release.max(self.now));
             }
             for shed in &self.shed {
                 t_next = t_next.min(shed.next_attempt.max(self.now));
@@ -1761,7 +1948,8 @@ impl RtKernel {
             }
             if let Some(id) = running {
                 let exec_start = self.now.max(self.stall_until);
-                t_next = t_next.min(exec_start + self.remaining(id.0).duration_at(op.freq));
+                t_next =
+                    t_next.min(exec_start + self.entries[id.0].remaining().duration_at(op.freq));
             }
             if let Some(review) = self.policy.review_at() {
                 if review.definitely_before(t_next) && self.now.definitely_before(review) {
@@ -1783,6 +1971,10 @@ impl RtKernel {
                     Some(id) => {
                         self.meter.charge_busy(&self.machine, landed, d);
                         self.entries[id.0].executed += d.work_at(op.freq);
+                        self.sync_view(id.0);
+                        if !self.entries[id.0].remaining().is_positive() {
+                            self.sched.mark_candidate(id.0);
+                        }
                         if let Some(tr) = &mut self.trace {
                             tr.push(stall_end, t_next, landed, Activity::Run(id));
                         }
@@ -1805,6 +1997,104 @@ impl RtKernel {
         let target = self.now + d;
         self.run_until(target);
     }
+
+    /// Sanitizer for the incremental scheduling state, compiled in under
+    /// the `audit` feature or any debug build and absent from release
+    /// builds (like the engine's). At every pick it recomputes from
+    /// `entries` what the per-step sweeps used to: the ready set and the
+    /// pick of a freshly filled queue at this tick, the active and
+    /// deferred counts, the stretch flag, the release heap and the
+    /// earliest gated release, the completion candidates, and — while
+    /// flagged exact — every policy view.
+    #[cfg(any(feature = "audit", debug_assertions))]
+    fn sanitize(&self, now_tick: u64, running: Option<TaskId>) {
+        let s = &self.sched;
+        let mut fresh = s.rq.clone();
+        fresh.clear();
+        let gate = self.timebase.release_gate();
+        let (mut active, mut deferred) = (0, 0);
+        let mut next_release: Option<Time> = None;
+        for (i, e) in self.entries.iter().enumerate() {
+            let id = TaskId(i);
+            if e.deferred {
+                deferred += 1;
+            } else if gate.is_none_or(|cov| e.next_release.at_or_before(cov)) {
+                next_release = Some(next_release.map_or(e.next_release, |t| t.min(e.next_release)));
+            }
+            let live = e.state == InvState::Active;
+            let has_work = live && e.remaining().is_positive();
+            active += usize::from(live);
+            if has_work {
+                fresh.insert(id, e.deadline, now_tick);
+            }
+            assert_eq!(
+                s.rq.contains(id),
+                has_work,
+                "{}: ready-queue membership disagrees with state {:?}",
+                e.handle,
+                e.state
+            );
+            let candidate = s
+                .comp_cand
+                .get(i / 64)
+                .is_some_and(|w| (w >> (i % 64)) & 1 == 1);
+            assert!(
+                !live || has_work || candidate,
+                "{}: out of work but no pending completion candidate",
+                e.handle
+            );
+            if s.views_exact {
+                assert_eq!(
+                    s.views.get(i),
+                    Some(&e.view()),
+                    "{}: policy view out of sync with the entry",
+                    e.handle
+                );
+            }
+        }
+        assert_eq!(s.active, active, "active count drifted");
+        assert_eq!(s.deferred, deferred, "deferred count drifted");
+        assert_eq!(
+            s.any_stretched,
+            self.entries.iter().any(Entry::stretched),
+            "stretch flag drifted"
+        );
+        if s.views_exact {
+            assert_eq!(s.views.len(), self.entries.len(), "view count drifted");
+        }
+        let mut seen = vec![false; self.entries.len()];
+        for &Reverse((key, i)) in s.releases.iter() {
+            let i = i as usize;
+            let e = &self.entries[i];
+            assert!(!e.deferred && !seen[i], "{}: stray release item", e.handle);
+            assert_eq!(
+                key,
+                release_key(e.next_release),
+                "{}: stale release item",
+                e.handle
+            );
+            seen[i] = true;
+        }
+        assert_eq!(
+            s.releases.len(),
+            self.entries.len() - deferred,
+            "release heap misses an entry"
+        );
+        assert_eq!(
+            self.next_gated_release(),
+            next_release,
+            "earliest gated release disagrees with a scan"
+        );
+        let expected = match &self.cached_set {
+            Some(_) => fresh.pick(self.policy.scheduler(), now_tick),
+            None => None,
+        };
+        assert_eq!(running, expected, "pick disagrees with a fresh ready queue");
+    }
+
+    #[cfg(not(any(feature = "audit", debug_assertions)))]
+    #[inline]
+    fn sanitize(&self, _now_tick: u64, _running: Option<TaskId>) {}
 
     /// A human-readable status dump, in the spirit of
     /// `cat /proc/rtdvs` on the prototype.

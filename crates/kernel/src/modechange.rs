@@ -469,7 +469,7 @@ impl RtKernel {
             allow_stretch: change.allow_stretch,
             admit_handles: admit_handles.clone(),
         };
-        let quiescent = !self.entries.iter().any(|e| e.state == InvState::Active);
+        let quiescent = self.sched.active == 0;
         if quiescent {
             apply(self, p, staged);
             Ok(ModeChangeReceipt {

@@ -1230,8 +1230,7 @@ fn restore_from_text(
         regulator_fallbacks,
         forced_transitions,
         supervisor: None,
-        rq: rtdvs_core::readyq::ReadyQueue::new(),
-        view_buf: Vec::new(),
+        sched: crate::kernel::SchedState::default(),
         tenant_servers: Vec::new(),
         // Observed state restores; the driver, like the regulator, is
         // live hardware the caller re-attaches.

@@ -14,7 +14,7 @@
 //!   tightened deadline views), admission, and transition-retry backoff;
 //! * **tick-gap recovery** — releases are driven by delivered ticks, so
 //!   a lost/coalesced run opens a gap; when it closes, the backlog is
-//!   drained through a [`TimingWheel`] catch-up cascade in exact
+//!   drained off the kernel's release heap in a catch-up cascade in exact
 //!   `(scheduled release, task)` order ([`KernelEvent::ClockTickGap`]);
 //! * **stalled-tick watchdog** — [`WATCHDOG_GAP_TICKS`] missed ticks in a
 //!   row force a synthetic delivery (bounding release latency) and
@@ -27,13 +27,13 @@
 //! With no driver attached the kernel is byte-identical to the
 //! pre-time-base kernel: no draws, no gating, no margins.
 
+use core::cmp::Reverse;
 use rtdvs_core::machine::PointIdx;
 use rtdvs_core::readyq::tick_of;
 use rtdvs_core::time::{Time, Work, EPS};
-use rtdvs_sim::wheel::TimingWheel;
 use rtdvs_sim::{ClockOracle, ClockPlan, TickOutcome};
 
-use crate::kernel::{KernelEvent, RtKernel};
+use crate::kernel::{KernelEvent, ReleaseItem, RtKernel};
 
 /// Nominal kernel timer period (1 kHz tick), milliseconds.
 pub const TICK_MS: f64 = 1.0;
@@ -290,64 +290,72 @@ impl RtKernel {
         self.now = target;
     }
 
-    /// Fires every non-deferred release that is due, honoring the tick
-    /// gate and the catch-up cascade. Without a driver this is exactly
-    /// the old index-order release loop. Returns whether anything fired.
+    /// Fires every non-deferred release that is due, in index order, off
+    /// the release heap — with or without a driver. An open tick gap holds
+    /// releases past the last delivered tick; the tick that closes it
+    /// drains the backlog through the catch-up cascade instead. Returns
+    /// whether anything fired.
     pub(crate) fn process_due_releases(&mut self) -> bool {
-        if self.timebase.driver.is_none() {
-            let mut any = false;
-            for i in 0..self.entries.len() {
-                if !self.entries[i].deferred && self.entries[i].next_release.at_or_before(self.now)
-                {
-                    self.release(i);
-                    any = true;
-                }
-            }
-            return any;
-        }
-        if self.timebase.pending_catch_up {
+        if self.timebase.driver.is_some() && self.timebase.pending_catch_up {
             return self.catch_up_releases();
         }
-        let gate = self.timebase.release_gate().unwrap_or(self.now);
-        let mut any = false;
-        for i in 0..self.entries.len() {
-            if !self.entries[i].deferred
-                && self.entries[i].next_release.at_or_before(gate)
-                && self.entries[i].next_release.at_or_before(self.now)
-            {
-                self.release(i);
-                any = true;
-            }
-        }
-        any
+        let until = self
+            .timebase
+            .release_gate()
+            .map_or(self.now, |cov| cov.min(self.now));
+        let mut due = std::mem::take(&mut self.sched.due);
+        self.sched.pop_due(&self.entries, until, &mut due);
+        due.sort_unstable_by_key(|&Reverse((_, i))| i);
+        self.release_all(due)
     }
 
     /// Drains the post-gap release backlog in `(scheduled release, task)`
-    /// order via the timing wheel's catch-up cascade — the order an
-    /// uninterrupted timer would have fired them in.
+    /// order — the order an uninterrupted timer would have fired them in:
+    /// each cascade step takes the earliest overdue instant and every
+    /// release within tolerance of it, in index order.
     fn catch_up_releases(&mut self) -> bool {
         self.timebase.pending_catch_up = false;
-        let due: Vec<usize> = (0..self.entries.len())
-            .filter(|&i| {
-                !self.entries[i].deferred && self.entries[i].next_release.at_or_before(self.now)
-            })
-            .collect();
-        if due.len() <= 1 {
-            let Some(&i) = due.first() else { return false };
-            self.release(i);
-            return true;
+        let mut due = std::mem::take(&mut self.sched.due);
+        let mut depth = 0u64;
+        while let Some(first) = self
+            .sched
+            .first_release()
+            .and_then(|i| self.entries.get(i))
+            .map(|e| e.next_release)
+            .filter(|t| t.at_or_before(self.now))
+        {
+            let start = due.len();
+            self.sched
+                .pop_due(&self.entries, first.min(self.now), &mut due);
+            if let Some(step) = due.get_mut(start..) {
+                step.sort_unstable_by_key(|&Reverse((_, i))| i);
+            }
+            depth += 1;
         }
-        let mut wheel = TimingWheel::new(self.entries.len());
-        for &i in &due {
-            wheel.schedule(i, self.entries[i].next_release.max(Time::ZERO));
+        if due.len() > 1 {
+            self.timebase.max_catch_up = self.timebase.max_catch_up.max(depth);
         }
-        let mut order = Vec::with_capacity(due.len());
-        let depth = wheel.catch_up(self.now, &mut order);
-        self.timebase.max_catch_up = self.timebase.max_catch_up.max(depth);
-        for i in order {
-            self.release(i);
+        self.release_all(due)
+    }
+
+    /// Releases the popped items in order, then hands the buffer back.
+    fn release_all(&mut self, mut due: Vec<ReleaseItem>) -> bool {
+        for &Reverse((_, i)) in &due {
+            self.release(i as usize);
         }
-        true
+        let any = !due.is_empty();
+        due.clear();
+        self.sched.due = due;
+        any
+    }
+
+    /// The earliest pending release the tick gate lets through, if any.
+    pub(crate) fn next_gated_release(&self) -> Option<Time> {
+        let next = self.entries.get(self.sched.first_release()?)?.next_release;
+        match self.timebase.release_gate() {
+            Some(cov) if !next.at_or_before(cov) => None,
+            _ => Some(next),
+        }
     }
 
     /// Logs a clock-induced late release (the audit layer holds these to
@@ -390,14 +398,18 @@ impl RtKernel {
     /// drift over its span, clamped to never cross `now`. With no driver
     /// or no observed error the deadline passes through untouched.
     pub(crate) fn clock_tightened_deadline(&self, deadline: Time) -> Time {
-        if self.timebase.driver.is_none()
-            || self.timebase.ewma_err_ms.to_bits() == 0.0_f64.to_bits()
-        {
+        if !self.clock_tightens_deadlines() {
             return deadline;
         }
         let span = (deadline - self.now).max(Time::ZERO);
         let margin = span.as_ms() * self.timebase.drift_ppm() / 1.0e6;
         (deadline - Time::from_ms(margin)).max(self.now)
+    }
+
+    /// Whether [`RtKernel::clock_tightened_deadline`] moves deadlines: a
+    /// driver is attached and the drift estimate is not exactly zero.
+    pub(crate) fn clock_tightens_deadlines(&self) -> bool {
+        self.timebase.driver.is_some() && self.timebase.ewma_err_ms.to_bits() != 0.0_f64.to_bits()
     }
 
     /// WCET surcharge for the admission guarantee test under observed

@@ -411,41 +411,6 @@ impl TimingWheel {
         // Far timers are ≥ the wheel horizon (~17 simulated minutes out)
         // and can never be due.
     }
-
-    /// In-order catch-up cascade after a tick gap: drains every timer due
-    /// at or before `t` in ascending `(expiry, id)` order, appending ids
-    /// to `out` and cancelling them, then leaves the wheel advanced to
-    /// `t`. Returns the number of distinct expiry instants drained (the
-    /// catch-up depth — 0 means nothing was overdue).
-    ///
-    /// Unlike the engine's usual advance-to-min stepping, `t` may lie far
-    /// past many pending expiries: the cascade advances to each overdue
-    /// minimum in turn, never violating [`TimingWheel::advance`]'s
-    /// contract, so a burst of coalesced or lost ticks is recovered in
-    /// exactly the order an uninterrupted clock would have fired.
-    pub fn catch_up(&mut self, t: Time, out: &mut Vec<usize>) -> u64 {
-        let mut depth = 0u64;
-        let mut due: Vec<u64> = Vec::new();
-        while let Some(mn) = self.peek_min() {
-            if !mn.at_or_before(t) {
-                break;
-            }
-            self.advance(mn);
-            self.collect_due(mn, &mut due);
-            depth += 1;
-            for (w, &word_bits) in due.iter().enumerate() {
-                let mut word = word_bits;
-                while word != 0 {
-                    let k = w * SLOTS + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    out.push(k);
-                    self.cancel(k);
-                }
-            }
-        }
-        self.advance(t);
-        depth
-    }
 }
 
 #[cfg(test)]
@@ -586,47 +551,5 @@ mod tests {
         assert_eq!(wheel.peek_min().map(Time::as_ms), Some(2.0));
         wheel.cancel(0);
         assert_eq!(wheel.peek_min(), None);
-    }
-
-    /// The catch-up cascade drains a large gap's overdue timers in exact
-    /// expiry order, matching a naive sort, and leaves the rest pending.
-    #[test]
-    fn catch_up_drains_overdue_in_expiry_order() {
-        let m = 40;
-        let mut wheel = TimingWheel::new(m);
-        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        let mut expiries = vec![Time::ZERO; m];
-        for (k, e) in expiries.iter_mut().enumerate() {
-            // Spread across ~8 s so the gap spans several wheel levels.
-            *e = ms((next() % 8_000_000) as f64 / 1000.0);
-            wheel.schedule(k, *e);
-        }
-        let gap_end = ms(3_000.0);
-        let mut order = Vec::new();
-        let depth = wheel.catch_up(gap_end, &mut order);
-
-        let mut expected: Vec<usize> = (0..m)
-            .filter(|&k| expiries[k].at_or_before(gap_end))
-            .collect();
-        expected.sort_by(|&a, &b| expiries[a].total_cmp(&expiries[b]).then(a.cmp(&b)));
-        assert_eq!(order, expected, "catch-up order diverged from expiry order");
-        assert!(depth >= 1 && depth <= order.len() as u64);
-        for k in 0..m {
-            assert_eq!(
-                wheel.is_scheduled(k),
-                !expiries[k].at_or_before(gap_end),
-                "timer {k} on the wrong side of the gap"
-            );
-        }
-        // The wheel ends advanced to the gap end: nothing is still due.
-        assert!(!wheel.has_due(gap_end));
-        // An empty catch-up is a plain advance.
-        assert_eq!(wheel.catch_up(gap_end + ms(0.5), &mut order), 0);
     }
 }

@@ -7,6 +7,7 @@ use rtdvs::core::task::Task;
 use rtdvs::kernel::{
     ColdStartBody, FractionBody, KernelError, KernelEvent, RtKernel, UniformBody, WcetBody,
 };
+use rtdvs::sim::Activity;
 use rtdvs::taskgen::{generate, TaskGenSpec};
 use rtdvs::{simulate, ExecModel, Machine, PolicyKind, SimConfig, TaskSet, Time, Work};
 
@@ -194,6 +195,77 @@ fn kernel_matches_simulator_for_all_policies() {
             sim.energy()
         );
         assert_eq!(kernel.misses().count(), sim.misses.len(), "{}", kind.name());
+    }
+}
+
+/// Trace segments with adjacent same-point, same-activity runs merged, as
+/// `(start bits, end bits, point, activity)`.
+fn merged_segments(kernel: &RtKernel) -> Vec<(u64, u64, usize, Activity)> {
+    let mut out: Vec<(u64, u64, usize, Activity)> = Vec::new();
+    for s in kernel.trace().expect("traced kernel").segments() {
+        match out.last_mut() {
+            Some(last) if last.2 == s.point && last.3 == s.activity => {
+                last.1 = s.end.as_ms().to_bits();
+            }
+            _ => out.push((
+                s.start.as_ms().to_bits(),
+                s.end.as_ms().to_bits(),
+                s.point,
+                s.activity,
+            )),
+        }
+    }
+    out
+}
+
+/// How a kernel run is sliced into `run_until` calls does not change the
+/// schedule: one call and 16 equal slices over the same horizon give the
+/// same event log (times bit for bit), the same merged trace segments and
+/// the same energy up to float reassociation, for every paper policy on a
+/// generated 32-task set with seeded uniform bodies.
+#[test]
+fn run_until_slicing_does_not_change_the_schedule() {
+    const SLICES: u32 = 16;
+    let spec = TaskGenSpec::new(32, 0.8).expect("valid spec");
+    let tasks = generate(&spec, 24301).expect("generator succeeds");
+    let horizon = ms(2000.0);
+    let run = |kind: PolicyKind, slices: u32| {
+        let mut kernel = RtKernel::new(Machine::machine0(), kind).with_trace();
+        for (i, t) in tasks.tasks().iter().enumerate() {
+            kernel
+                .spawn(
+                    t.period(),
+                    t.wcet(),
+                    Box::new(UniformBody::new(24301 + i as u64)),
+                )
+                .expect("the set passes every paper policy's admission test");
+        }
+        for s in 1..=slices {
+            kernel.run_until(horizon * (f64::from(s) / f64::from(slices)));
+        }
+        kernel
+    };
+    for kind in PolicyKind::paper_six() {
+        let name = kind.name();
+        let whole = run(kind, 1);
+        let sliced = run(kind, SLICES);
+        let log = |k: &RtKernel| -> Vec<(u64, KernelEvent)> {
+            k.log()
+                .iter()
+                .map(|(t, e)| (t.as_ms().to_bits(), e.clone()))
+                .collect()
+        };
+        assert_eq!(log(&whole), log(&sliced), "{name}: event logs differ");
+        assert_eq!(
+            merged_segments(&whole),
+            merged_segments(&sliced),
+            "{name}: trace segments differ"
+        );
+        let (a, b) = (whole.energy(), sliced.energy());
+        assert!(
+            (a - b).abs() <= 1e-12 * a.abs(),
+            "{name}: energy {a} vs {b}"
+        );
     }
 }
 
